@@ -29,14 +29,41 @@ import (
 	"silenttracker/internal/ue"
 )
 
+// runRegistry runs the named registry experiment at the given trial
+// count and parallelism through the campaign engine with no store —
+// the path the st package takes — narrowed to values on its first axis
+// when given, and folds its Table.
+func runRegistry(b *testing.B, name string, trials, workers int, values ...string) experiments.Table {
+	def, ok := experiments.CampaignNamed(name)
+	if !ok {
+		b.Fatalf("no registered experiment %q", name)
+	}
+	spec := def.Build(experiments.CampaignParams{Trials: trials})
+	if len(values) > 0 {
+		spec.Axes[0].Values = values
+	}
+	cells, _ := (&campaign.Engine{Workers: workers}).Run(spec)
+	return def.Table(cells)
+}
+
+// column returns the named value column of t.
+func column(b *testing.B, t experiments.Table, name string) []float64 {
+	for _, c := range t.Columns {
+		if c.Name == name {
+			return c.Values
+		}
+	}
+	b.Fatalf("no column %q", name)
+	return nil
+}
+
 // --- Figure 2a: directional search under mobility -------------------
 
 func benchSearch(b *testing.B, cfg experiments.BeamConfig) {
-	opts := experiments.DefaultFig2aOpts()
 	var succ stats.Rate
 	var dwells stats.Online
 	for i := 0; i < b.N; i++ {
-		ok, d := experiments.SearchTrial(cfg, opts.Seed+int64(i)*7919, opts)
+		ok, d := experiments.SearchTrial(cfg, 1000+int64(i)*7919)
 		succ.Record(ok)
 		if ok {
 			dwells.Add(float64(d))
@@ -73,48 +100,32 @@ func BenchmarkFig2cVehicular(b *testing.B) { benchHandover(b, experiments.Vehicu
 // --- §3 claim: alignment held until handover conclusion -------------
 
 func BenchmarkMobilityAlignment(b *testing.B) {
-	rows := make([]experiments.MobilityRow, 1)
-	opts := experiments.DefaultMobilityOpts()
-	opts.Trials = b.N
-	if opts.Trials > 0 {
-		rows = experiments.RunMobility(experiments.MobilityOpts{Trials: b.N, Seed: opts.Seed})
+	aligned := column(b, runRegistry(b, "mobility", b.N, 0), "aligned")
+	var sum float64
+	for _, v := range aligned {
+		sum += v
 	}
-	var aligned float64
-	for i := range rows {
-		aligned += rows[i].AlignedFrac.Percent()
-	}
-	b.ReportMetric(aligned/float64(len(rows)), "aligned%")
+	b.ReportMetric(sum/float64(len(aligned)), "aligned%")
 }
 
 // --- Ablations -------------------------------------------------------
 
 func BenchmarkAblationThreshold(b *testing.B) {
-	rows := experiments.RunThreshold(experiments.ThresholdOpts{
-		Margins: []float64{3},
-		Trials:  b.N,
-		Seed:    4000,
-		Horizon: 12 * sim.Second,
-	})
-	b.ReportMetric(rows[0].PingPongs.Mean(), "pingpongs/trial")
+	t := runRegistry(b, "threshold", b.N, 0, "3")
+	b.ReportMetric(column(b, t, "pingpongs_mean")[0], "pingpongs/trial")
 }
 
 func BenchmarkAblationHysteresis(b *testing.B) {
-	rows := experiments.RunHysteresis(experiments.HysteresisOpts{
-		Triggers: []float64{3},
-		Trials:   b.N,
-		Seed:     5000,
-	})
-	b.ReportMetric(rows[0].Switches.Mean(), "switches/trial")
+	t := runRegistry(b, "hysteresis", b.N, 0, "3")
+	b.ReportMetric(column(b, t, "switches_mean")[0], "switches/trial")
 }
 
 // --- Baseline comparison ---------------------------------------------
 
 func benchBaseline(b *testing.B, v experiments.Variant) {
-	rows := experiments.RunBaselineVariant(v, experiments.BaselineOpts{
-		Trials: b.N, Seed: 6000, Horizon: 8 * sim.Second,
-	})
-	b.ReportMetric(rows.InterruptMs.Mean(), "interrupt_ms")
-	b.ReportMetric(100*rows.LossRate.Mean(), "loss%")
+	t := runRegistry(b, "baseline", b.N, 0, v.String())
+	b.ReportMetric(column(b, t, "interrupt_mean")[0], "interrupt_ms")
+	b.ReportMetric(column(b, t, "loss")[0], "loss%")
 }
 
 func BenchmarkBaselineSilentTracker(b *testing.B) { benchBaseline(b, experiments.SilentTracker) }
@@ -123,56 +134,25 @@ func BenchmarkBaselineGenie(b *testing.B)         { benchBaseline(b, experiments
 
 // --- Parallel trial engine -------------------------------------------
 //
-// Each pair runs the same fixed quick workload serially (Workers: 1)
-// and sharded across GOMAXPROCS (Workers: 0), so comparing ns/op shows
+// Each pair runs the same fixed quick workload serially (workers 1)
+// and sharded across GOMAXPROCS (workers 0), so comparing ns/op shows
 // the runner engine's scaling. The tables produced are identical in
 // both modes; only wall-clock differs.
 
-func BenchmarkRunFig2aSerial(b *testing.B)   { benchRunFig2a(b, 1) }
-func BenchmarkRunFig2aParallel(b *testing.B) { benchRunFig2a(b, 0) }
-
-func benchRunFig2a(b *testing.B, workers int) {
+func benchRun(b *testing.B, name string, trials, workers int) {
 	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig2aQuick(16)
-		opts.Workers = workers
-		experiments.RunFig2a(opts)
+		runRegistry(b, name, trials, workers)
 	}
 }
 
-func BenchmarkRunFig2cSerial(b *testing.B)   { benchRunFig2c(b, 1) }
-func BenchmarkRunFig2cParallel(b *testing.B) { benchRunFig2c(b, 0) }
-
-func benchRunFig2c(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Fig2cQuick(12)
-		opts.Workers = workers
-		experiments.RunFig2c(opts)
-	}
-}
-
-func BenchmarkRunMobilitySerial(b *testing.B)   { benchRunMobility(b, 1) }
-func BenchmarkRunMobilityParallel(b *testing.B) { benchRunMobility(b, 0) }
-
-func benchRunMobility(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultMobilityOpts()
-		opts.Trials = 8
-		opts.Workers = workers
-		experiments.RunMobility(opts)
-	}
-}
-
-func BenchmarkRunBaselineSerial(b *testing.B)   { benchRunBaseline(b, 1) }
-func BenchmarkRunBaselineParallel(b *testing.B) { benchRunBaseline(b, 0) }
-
-func benchRunBaseline(b *testing.B, workers int) {
-	for i := 0; i < b.N; i++ {
-		opts := experiments.DefaultBaselineOpts()
-		opts.Trials = 8
-		opts.Workers = workers
-		experiments.RunBaseline(opts)
-	}
-}
+func BenchmarkRunFig2aSerial(b *testing.B)      { benchRun(b, "fig2a", 16, 1) }
+func BenchmarkRunFig2aParallel(b *testing.B)    { benchRun(b, "fig2a", 16, 0) }
+func BenchmarkRunFig2cSerial(b *testing.B)      { benchRun(b, "fig2c", 12, 1) }
+func BenchmarkRunFig2cParallel(b *testing.B)    { benchRun(b, "fig2c", 12, 0) }
+func BenchmarkRunMobilitySerial(b *testing.B)   { benchRun(b, "mobility", 8, 1) }
+func BenchmarkRunMobilityParallel(b *testing.B) { benchRun(b, "mobility", 8, 0) }
+func BenchmarkRunBaselineSerial(b *testing.B)   { benchRun(b, "baseline", 8, 1) }
+func BenchmarkRunBaselineParallel(b *testing.B) { benchRun(b, "baseline", 8, 0) }
 
 // --- Result-store tiers ----------------------------------------------
 //
@@ -308,29 +288,6 @@ func BenchmarkStoreWarmRunResilientTiered(b *testing.B) {
 
 // --- Micro-benchmarks: substrate hot paths ---------------------------
 
-func BenchmarkEngineEvents(b *testing.B) {
-	e := sim.NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(sim.Microsecond, tick)
-		}
-	}
-	e.After(sim.Microsecond, tick)
-	b.ResetTimer()
-	e.Run()
-}
-
-func BenchmarkChannelMeasure(b *testing.B) {
-	l := channel.NewLink(channel.DefaultParams(), 1, "bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Measure(float64(i)*1e-4, 15, 23, 20, 5)
-	}
-}
-
 func BenchmarkAirBurstRow(b *testing.B) {
 	// One full 16-beacon burst measurement through a device, the inner
 	// loop of every experiment.
@@ -353,14 +310,6 @@ func BenchmarkAirBurstRow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		burst := ci.Sched.NextBurst(sim.Time(i) * 20 * sim.Millisecond)
 		d.MeasureBurst(1, burst, rx)
-	}
-}
-
-func BenchmarkCodebookBestBeam(b *testing.B) {
-	cb := antenna.NarrowMobile()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb.BestBeam(float64(i%628) / 100)
 	}
 }
 

@@ -40,8 +40,9 @@
 //     coordinator (range sharding, work stealing, lease-TTL recovery)
 //     the daemon mounts at /dist/, and the worker loop behind stworker
 //   - internal/scenario    — declarative multi-cell, multi-UE world generator
-//   - cmd/{stbench, stcampaign, stsim, stmachine} — executables; stbench
-//     and stcampaign are thin shells over st (flags + renderer choice)
+//   - cmd/{stbench, stcampaign, stsim, stmachine, sttrace} — executables;
+//     stbench and stcampaign are thin shells over st (flags + renderer
+//     choice)
 //   - cmd/stserve — the campaign daemon binary (HTTP front of
 //     internal/serve; doubles as the distributed-run coordinator)
 //   - cmd/stworker — the fleet worker binary: leases trial units

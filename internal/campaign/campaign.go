@@ -2,9 +2,9 @@
 // grid of axes (scenario × codebook × protocol knob …), a per-cell
 // trial count and a seed schedule, and the engine expands the grid
 // into deterministic trial units, executes them on the
-// internal/runner worker pool, and folds per-cell results with
-// internal/stats into the same row structs the hand-written
-// experiment runners produced.
+// internal/runner worker pool, and folds them into per-cell results
+// whose accessors rebuild internal/stats accumulators exactly as a
+// serial loop over trials would.
 //
 // Every trial unit is keyed by a content hash of (spec identity,
 // cell, seed, code-relevant config) into a pluggable result store
@@ -20,7 +20,6 @@ package campaign
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,8 +140,8 @@ func (m Metrics) Names() []string {
 }
 
 // Spec declares one sweep: a named grid of axes, a per-cell trial
-// count, a seed schedule, and the trial body. The eight paper
-// experiments are each a Spec; future scenarios plug in the same way.
+// count, a seed schedule, and the trial body. Every registered
+// experiment is a Spec; future scenarios plug in the same way.
 type Spec struct {
 	// Name identifies the spec in the CLI, cache keys, and tables.
 	Name string
@@ -172,9 +171,6 @@ type Spec struct {
 	// randomness derived from the seed alone. It must be safe for
 	// concurrent invocation.
 	Trial func(cell Cell, seed int64) Metrics
-
-	// Render writes the spec's text table from folded cell results.
-	Render func(w io.Writer, cells []CellResult)
 }
 
 // Cells expands the axis grid in row-major order (last axis fastest).

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,13 +33,6 @@ func syntheticSpec(trials int) *Spec {
 			m.Add("b2", float64(cell.Int("b")*2))
 			m.Record("ok", seed%2 == 0)
 			return m
-		},
-		Render: func(w io.Writer, cells []CellResult) {
-			for _, c := range cells {
-				ok := c.Rate("ok")
-				s := c.Sample("seed")
-				fmt.Fprintf(w, "%s ok=%d/%d sum=%.0f\n", c.Cell, ok.Successes, ok.Trials, s.Mean()*float64(s.N()))
-			}
 		},
 	}
 }
@@ -286,11 +278,17 @@ func TestCleanRefusesForeignDir(t *testing.T) {
 	}
 }
 
+// render runs a syntheticSpec-shaped spec and writes one text line
+// per folded cell.
 func render(t *testing.T, e *Engine, s *Spec) (string, RunStats) {
 	t.Helper()
 	cells, stats := e.Run(s)
 	var buf bytes.Buffer
-	s.Render(&buf, cells)
+	for _, c := range cells {
+		ok := c.Rate("ok")
+		s := c.Sample("seed")
+		fmt.Fprintf(&buf, "%s ok=%d/%d sum=%.0f\n", c.Cell, ok.Successes, ok.Trials, s.Mean()*float64(s.N()))
+	}
 	return buf.String(), stats
 }
 

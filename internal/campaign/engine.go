@@ -305,12 +305,3 @@ func (e *Engine) RunCtx(ctx context.Context, spec *Spec) ([]CellResult, RunStats
 	e.emit(&mu, SpecDone{Spec: spec.Name, Stats: stats})
 	return out, stats, nil
 }
-
-// Collect is the convenience path the thin experiment runners use:
-// run the spec with no cache at the given parallelism and return the
-// folded cells.
-func Collect(spec *Spec, workers int) []CellResult {
-	eng := Engine{Workers: workers}
-	cells, _ := eng.Run(spec)
-	return cells
-}

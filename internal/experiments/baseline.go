@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/geom"
@@ -10,7 +9,6 @@ import (
 	"silenttracker/internal/mobility"
 	"silenttracker/internal/netem"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 )
 
 // Variant names a beam-management strategy for the baseline
@@ -55,111 +53,62 @@ func VariantNamed(name string) Variant {
 	panic("experiments: unknown variant " + name)
 }
 
-// BaselineRow summarises one strategy over the baseline workload.
-type BaselineRow struct {
-	Variant Variant
-	Trials  int
+// baselineHorizon is the baseline comparison's trial window.
+const baselineHorizon = 8 * sim.Second
 
-	HandoverOK  stats.Rate   // first handover concluded within the horizon
-	HardRate    stats.Rate   // handovers that were hard
-	LatencyMs   stats.Sample // first-handover latency (search start → done)
-	InterruptMs stats.Sample // total interruption per trial
-	LossRate    stats.Sample // packet loss fraction per trial
-	OutageMs    stats.Sample // longest outage per trial
-
-	// RecoveryMs is the total interruption over trials that suffered at
-	// least one serving-link death — the moment of truth the strategies
-	// differ on: an aligned silent beam recovers in one RACH exchange,
-	// a reactive mobile must search first.
-	RecoveryMs stats.Sample
-}
-
-// BaselineOpts configures the comparison.
-type BaselineOpts struct {
-	Trials  int
-	Seed    int64
-	Horizon sim.Time
-	Workers int // trial parallelism (0 = GOMAXPROCS); never changes results
-}
-
-// DefaultBaselineOpts returns the full comparison: the mobile walks
-// out of cell 1's coverage (a 14 m soft range edge models mm-wave
-// corner loss), so the serving link *permanently* dies mid-walk and
-// each strategy's recovery path is what gets measured.
-func DefaultBaselineOpts() BaselineOpts {
-	return BaselineOpts{Trials: 40, Seed: 6000, Horizon: 8 * sim.Second}
-}
-
-// BaselineCampaign declares the strategy comparison as a campaign
-// spec: one axis (the beam-management strategy), the walk-out-of-
-// coverage workload as the unit body.
-func BaselineCampaign(opts BaselineOpts) *campaign.Spec {
-	return &campaign.Spec{
-		Name:        "baseline",
-		Description: "strategy comparison (SilentTracker vs Reactive vs Genie) on a coverage-exit walk",
-		Axes: []campaign.Axis{
-			{Name: "variant", Values: []string{"SilentTracker", "Reactive", "Genie"}},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 179426549,
-		Epoch:      "baseline/v1",
-		Config:     fmt.Sprintf("horizon=%d", opts.Horizon),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			var t BaselineRow
-			oneBaselineTrial(VariantNamed(cell.Get("variant")), seed, opts.Horizon, &t)
-			m := campaign.NewMetrics()
-			m.Record("ho_ok", t.HandoverOK.Successes > 0)
-			if t.HardRate.Trials > 0 {
-				m.Record("hard", t.HardRate.Successes > 0)
-			}
-			m.Add("latency_ms", t.LatencyMs.Raw()...)
-			m.Add("interrupt_ms", t.InterruptMs.Raw()...)
-			m.Add("loss_rate", t.LossRate.Raw()...)
-			m.Add("outage_ms", t.OutageMs.Raw()...)
-			m.Add("recovery_ms", t.RecoveryMs.Raw()...)
-			return m
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteBaseline(w, BaselineRows(cells, opts.Trials))
-		},
-	}
-}
-
-// BaselineRows folds campaign cells back into the table's row structs.
-func BaselineRows(cells []campaign.CellResult, trials int) []BaselineRow {
-	out := make([]BaselineRow, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out = append(out, BaselineRow{
-			Variant:     VariantNamed(c.Cell.Get("variant")),
-			Trials:      trials,
-			HandoverOK:  c.Rate("ho_ok"),
-			HardRate:    c.Rate("hard"),
-			LatencyMs:   c.Sample("latency_ms"),
-			InterruptMs: c.Sample("interrupt_ms"),
-			LossRate:    c.Sample("loss_rate"),
-			OutageMs:    c.Sample("outage_ms"),
-			RecoveryMs:  c.Sample("recovery_ms"),
+// baselineDef compares the beam-management strategies on one
+// workload: the mobile walks out of cell 1's coverage (a 14 m soft
+// range edge models mm-wave corner loss), so the serving link
+// *permanently* dies mid-walk and each strategy's recovery path is
+// what gets measured. Recovery is the total interruption over trials
+// that suffered at least one serving-link death — the moment of truth
+// the strategies differ on: an aligned silent beam recovers in one
+// RACH exchange, a reactive mobile must search first.
+var baselineDef = CampaignDef{
+	Name:  "baseline",
+	Title: "Baseline comparison — soft vs reactive vs genie",
+	Quick: 6,
+	Spec: func() *campaign.Spec {
+		return &campaign.Spec{
+			Name:        "baseline",
+			Description: "strategy comparison (SilentTracker vs Reactive vs Genie) on a coverage-exit walk",
+			Axes: []campaign.Axis{
+				{Name: "variant", Values: []string{"SilentTracker", "Reactive", "Genie"}},
+			},
+			Trials:     40,
+			Seed:       6000,
+			SeedStride: 179426549,
+			Epoch:      "baseline/v1",
+			Config:     fmt.Sprintf("horizon=%d", baselineHorizon),
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				return baselineTrial(VariantNamed(cell.Get("variant")), seed)
+			},
+		}
+	},
+	Table: func(cells []campaign.CellResult) Table {
+		return foldRows(cells, []Column{
+			{Name: "strategy"}, {Name: "ho_done", Unit: "%"}, {Name: "hard", Unit: "%"},
+			{Name: "latency_p50", Unit: "ms"}, {Name: "interrupt_mean", Unit: "ms"},
+			{Name: "recovery_mean", Unit: "ms"}, {Name: "loss", Unit: "%"}, {Name: "outage_p90", Unit: "ms"},
+		}, func(c *campaign.CellResult) []any {
+			lat, outage := c.Sample("latency_ms"), c.Sample("outage_ms")
+			return []any{c.Cell.Get("variant"), pctOf(c, "ho_ok"), pctOf(c, "hard"),
+				lat.Median(), meanOf(c, "interrupt_ms"), meanOf(c, "recovery_ms"),
+				100 * meanOf(c, "loss_rate"), outage.Quantile(0.9)}
 		})
-	}
-	return out
+	},
+	Text: textRows("Baseline comparison — walk out of the serving cell's coverage\n"+
+		fmt.Sprintf("%-14s %8s %8s %12s %12s %12s %9s %12s\n",
+			"Strategy", "HO done", "hard", "latency p50", "interrupt", "recovery", "loss", "worst outage"),
+		"%-14s %7.1f%% %7.1f%% %9.0f ms %9.0f ms %9.0f ms %8.2f%% %9.0f ms\n"),
 }
 
-// RunBaseline regenerates the strategy comparison table.
-func RunBaseline(opts BaselineOpts) []BaselineRow {
-	return BaselineRows(campaign.Collect(BaselineCampaign(opts), opts.Workers), opts.Trials)
-}
-
-// RunBaselineVariant runs the baseline workload for one strategy.
-func RunBaselineVariant(v Variant, opts BaselineOpts) BaselineRow {
-	spec := BaselineCampaign(opts)
-	spec.Axes[0].Values = []string{v.String()}
-	rows := BaselineRows(campaign.Collect(spec, opts.Workers), opts.Trials)
-	return rows[0]
-}
-
-func oneBaselineTrial(v Variant, seed int64, horizon sim.Time, row *BaselineRow) {
+// baselineTrial runs the coverage-exit walk under one strategy: the
+// first handover's outcome and latency (search start → done), the
+// total interruption, packet loss and longest outage of the attached
+// flow, and the interruption again as recovery when the serving link
+// died.
+func baselineTrial(v Variant, seed int64) campaign.Metrics {
 	b := EdgeBuilder(seed)
 	// Walk from inside cell 1 out through its coverage edge: the
 	// serving link dies for good at x ≈ 16–17 m.
@@ -192,23 +141,29 @@ func oneBaselineTrial(v Variant, seed int64, horizon sim.Time, row *BaselineRow)
 	aud := handover.NewAuditor(1, 0)
 	w.Tracker.SetEventHook(aud.Hook(nil))
 	flow := netem.Attach(w, sim.Millisecond)
-	for w.Engine.Now() < horizon {
+	for w.Engine.Now() < baselineHorizon {
 		w.Run(w.Engine.Now() + 200*sim.Millisecond)
 	}
 	flow.Stop()
 
+	// latency_ms and recovery_ms are recorded (empty) even when the
+	// trial has no observation for them.
+	m := campaign.NewMetrics()
+	m.Add("latency_ms")
+	m.Add("recovery_ms")
 	first, ok := aud.First()
-	row.HandoverOK.Record(ok)
+	m.Record("ho_ok", ok)
 	if ok {
-		row.HardRate.Record(first.Kind == handover.Hard)
-		row.LatencyMs.Add(first.Latency().Millis())
+		m.Record("hard", first.Kind == handover.Hard)
+		m.Add("latency_ms", first.Latency().Millis())
 	}
-	row.InterruptMs.Add(aud.TotalInterruption().Millis())
-	row.LossRate.Add(flow.LossRate())
-	row.OutageMs.Add(flow.LongestOutage.Millis())
+	m.Add("interrupt_ms", aud.TotalInterruption().Millis())
+	m.Add("loss_rate", flow.LossRate())
+	m.Add("outage_ms", flow.LongestOutage.Millis())
 	if sawServingDeath(aud) {
-		row.RecoveryMs.Add(aud.TotalInterruption().Millis())
+		m.Add("recovery_ms", aud.TotalInterruption().Millis())
 	}
+	return m
 }
 
 func sawServingDeath(aud *handover.Auditor) bool {

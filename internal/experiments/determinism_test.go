@@ -1,97 +1,45 @@
 package experiments
 
 import (
-	"bytes"
-	"io"
 	"testing"
 )
 
 // TestParallelDeterminism is the runner engine's acceptance test: for
-// every experiment, the fully rendered table at -j 8 must be
-// byte-identical to the table at -j 1. Trial counts are reduced but
-// every runner, writer, and merge path is exercised.
+// every experiment, the fully rendered table (and CSV, where there is
+// one) at -j 8 must be byte-identical to the output at -j 1. Trial
+// counts and sweeps are reduced but every trial body, fold, layout,
+// and merge path is exercised.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
 	experiments := []struct {
-		name string
-		run  func(w io.Writer, workers int)
+		name   string
+		trials int
+		values []string // narrowed first axis (nil = the full sweep)
 	}{
-		{"fig2a", func(w io.Writer, workers int) {
-			opts := Fig2aQuick(12)
-			opts.Workers = workers
-			rows := RunFig2a(opts)
-			WriteFig2a(w, rows)
-			WriteFig2aCSV(w, rows)
-		}},
-		{"fig2c", func(w io.Writer, workers int) {
-			opts := Fig2cQuick(8)
-			opts.Workers = workers
-			series := RunFig2c(opts)
-			WriteFig2c(w, series)
-			WriteFig2cCSV(w, series)
-		}},
-		{"mobility", func(w io.Writer, workers int) {
-			opts := DefaultMobilityOpts()
-			opts.Trials = 4
-			opts.Workers = workers
-			WriteMobility(w, RunMobility(opts))
-		}},
-		{"baseline", func(w io.Writer, workers int) {
-			opts := DefaultBaselineOpts()
-			opts.Trials = 4
-			opts.Workers = workers
-			WriteBaseline(w, RunBaseline(opts))
-		}},
-		{"threshold", func(w io.Writer, workers int) {
-			opts := DefaultThresholdOpts()
-			opts.Margins = []float64{0, 6}
-			opts.Trials = 3
-			opts.Workers = workers
-			WriteThreshold(w, RunThreshold(opts))
-		}},
-		{"hysteresis", func(w io.Writer, workers int) {
-			opts := DefaultHysteresisOpts()
-			opts.Triggers = []float64{3, 10}
-			opts.Trials = 3
-			opts.Workers = workers
-			WriteHysteresis(w, RunHysteresis(opts))
-		}},
-		{"patterns", func(w io.Writer, workers int) {
-			opts := DefaultPatternOpts()
-			opts.Trials = 4
-			opts.Workers = workers
-			WritePatterns(w, RunPatterns(opts))
-		}},
-		{"codebook", func(w io.Writer, workers int) {
-			opts := DefaultCodebookOpts()
-			opts.Sizes = []int{6, 18}
-			opts.Trials = 4
-			opts.Workers = workers
-			WriteCodebook(w, RunCodebook(opts))
-		}},
+		{"fig2a", 12, nil},
+		{"fig2c", 8, nil},
+		{"mobility", 4, nil},
+		{"baseline", 4, nil},
+		{"threshold", 3, []string{"0", "6"}},
+		{"hysteresis", 3, []string{"3", "10"}},
+		{"patterns", 4, nil},
+		{"codebook", 4, []string{"6", "18"}},
 		// One scenario-generated family: trial units here are whole
 		// fleets, so this additionally pins down the per-entity seed
 		// scheduling inside internal/scenario.
-		{"highway", func(w io.Writer, workers int) {
-			opts := DefaultHighwayOpts()
-			opts.Speeds = []float64{10, 25}
-			opts.Trials = 2
-			opts.Workers = workers
-			WriteHighway(w, RunHighway(opts))
-		}},
+		{"highway", 2, []string{"10", "25"}},
 	}
 	for _, exp := range experiments {
 		exp := exp
 		t.Run(exp.name, func(t *testing.T) {
 			t.Parallel()
-			var serial, parallel bytes.Buffer
-			exp.run(&serial, 1)
-			exp.run(&parallel, 8)
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Errorf("output differs between -j 1 and -j 8:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-					serial.String(), parallel.String())
+			p := CampaignParams{Trials: exp.trials}
+			serial := render(runCells(t, exp.name, 1, p, exp.values...))
+			parallel := render(runCells(t, exp.name, 8, p, exp.values...))
+			if serial != parallel {
+				t.Errorf("output differs between -j 1 and -j 8:\n--- j=1 ---\n%s\n--- j=8 ---\n%s", serial, parallel)
 			}
 		})
 	}

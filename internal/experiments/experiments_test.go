@@ -5,44 +5,84 @@ import (
 	"strings"
 	"testing"
 
+	"silenttracker/internal/campaign"
 	"silenttracker/internal/sim"
 )
+
+// runCells runs the named registry experiment at p without a cache,
+// on the given number of workers. values, when given, narrows the
+// spec's first axis.
+func runCells(t testing.TB, name string, workers int, p CampaignParams, values ...string) (CampaignDef, []campaign.CellResult) {
+	t.Helper()
+	def, ok := CampaignNamed(name)
+	if !ok {
+		t.Fatalf("no registered experiment %q", name)
+	}
+	spec := def.Build(p)
+	if len(values) > 0 {
+		spec.Axes[0].Values = values
+	}
+	cells, _ := (&campaign.Engine{Workers: workers}).Run(spec)
+	return def, cells
+}
+
+// runTable is runCells folded into the experiment's Table.
+func runTable(t testing.TB, name string, p CampaignParams, values ...string) Table {
+	t.Helper()
+	def, cells := runCells(t, name, 0, p, values...)
+	return def.Table(cells)
+}
+
+// col returns the named column's values, failing the test if the
+// Table has no such value column.
+func col(t testing.TB, tb Table, name string) []float64 {
+	t.Helper()
+	for _, c := range tb.Columns {
+		if c.Name == name && c.Labels == nil {
+			return c.Values
+		}
+	}
+	t.Fatalf("table has no value column %q", name)
+	return nil
+}
+
+// rowOf returns the index of the row whose first (label) column is
+// label.
+func rowOf(t testing.TB, tb Table, label string) int {
+	t.Helper()
+	for i, l := range tb.Columns[0].Labels {
+		if l == label {
+			return i
+		}
+	}
+	t.Fatalf("table has no row %q", label)
+	return -1
+}
 
 func TestFig2aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	rows := RunFig2a(Fig2aQuick(30))
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	tb := runTable(t, "fig2a", CampaignParams{Trials: 30})
+	if tb.rows() != 3 {
+		t.Fatalf("%d rows", tb.rows())
 	}
-	var narrow, wide, omni Fig2aRow
-	for _, r := range rows {
-		switch r.Config {
-		case Narrow:
-			narrow = r
-		case Wide:
-			wide = r
-		case Omni:
-			omni = r
-		}
-	}
+	narrow, wide, omni := rowOf(t, tb, "Narrow"), rowOf(t, tb, "Wide"), rowOf(t, tb, "Omni")
+	succ, dwells := col(t, tb, "success"), col(t, tb, "dwells_mean")
 	// The paper's headline: narrow beams succeed far more often than
 	// omni, despite searching longer.
-	if narrow.Success.Value() <= omni.Success.Value() {
-		t.Errorf("narrow success %.2f should exceed omni %.2f",
-			narrow.Success.Value(), omni.Success.Value())
+	if succ[narrow] <= succ[omni] {
+		t.Errorf("narrow success %.1f%% should exceed omni %.1f%%", succ[narrow], succ[omni])
 	}
-	if narrow.Success.Value() < 0.8 {
-		t.Errorf("narrow success %.2f suspiciously low", narrow.Success.Value())
+	if succ[narrow] < 80 {
+		t.Errorf("narrow success %.1f%% suspiciously low", succ[narrow])
 	}
-	if omni.Success.Value() > 0.8 {
-		t.Errorf("omni success %.2f suspiciously high", omni.Success.Value())
+	if succ[omni] > 80 {
+		t.Errorf("omni success %.1f%% suspiciously high", succ[omni])
 	}
 	// Narrow searches take more dwells than wide (more beams to scan).
-	if narrow.Dwells.Mean() <= wide.Dwells.Mean() {
-		t.Errorf("narrow dwells %.1f should exceed wide %.1f",
-			narrow.Dwells.Mean(), wide.Dwells.Mean())
+	if dwells[narrow] <= dwells[wide] {
+		t.Errorf("narrow dwells %.1f should exceed wide %.1f", dwells[narrow], dwells[wide])
 	}
 }
 
@@ -50,32 +90,38 @@ func TestFig2cShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	series := RunFig2c(Fig2cQuick(15))
-	if len(series) != 3 {
-		t.Fatalf("%d series", len(series))
+	const trials = 15
+	tb := runTable(t, "fig2c", CampaignParams{Trials: trials})
+	if tb.rows() != 3 {
+		t.Fatalf("%d rows", tb.rows())
 	}
-	for _, s := range series {
-		if s.CompletionRate() < 0.6 {
-			t.Errorf("%v completion rate %.2f too low", s.Scenario, s.CompletionRate())
+	done, p50, soft := col(t, tb, "done"), col(t, tb, "latency_p50"), col(t, tb, "soft")
+	for i, sc := range tb.Columns[0].Labels {
+		if done[i] < 60 {
+			t.Errorf("%s completion rate %.1f%% too low", sc, done[i])
 		}
-		if s.Completed > 0 && (s.Latency.Median() < 50 || s.Latency.Median() > 5000) {
-			t.Errorf("%v median latency %.0f ms implausible", s.Scenario, s.Latency.Median())
+		completed := done[i] * trials / 100
+		if completed > 0 && (p50[i] < 50 || p50[i] > 5000) {
+			t.Errorf("%s median latency %.0f ms implausible", sc, p50[i])
 		}
 		// Nearly all completed handovers must be soft — that is the
 		// protocol's purpose.
-		if s.Completed > 0 && float64(s.SoftCount)/float64(s.Completed) < 0.7 {
-			t.Errorf("%v soft fraction %.2f", s.Scenario, float64(s.SoftCount)/float64(s.Completed))
+		if completed > 0 && soft[i]/completed < 0.7 {
+			t.Errorf("%s soft fraction %.2f", sc, soft[i]/completed)
 		}
-	}
-	// CDF is monotone and scaled by the completion rate.
-	cdf := series[0].CDF(200, 2000, 8)
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].P < cdf[i-1].P {
-			t.Fatal("CDF not monotone")
+		// The CDF grid is monotone and scaled by the completion rate.
+		var cdf []float64
+		for j := 0; j < cdfPoints; j++ {
+			cdf = append(cdf, tb.Columns[fig2cSummary+j].Values[i])
 		}
-	}
-	if last := cdf[len(cdf)-1].P; last > series[0].CompletionRate()+1e-9 {
-		t.Errorf("CDF exceeds completion rate: %v", last)
+		for j := 1; j < len(cdf); j++ {
+			if cdf[j] < cdf[j-1] {
+				t.Fatalf("%s CDF not monotone: %v", sc, cdf)
+			}
+		}
+		if last := cdf[len(cdf)-1]; last > done[i]/100+1e-9 {
+			t.Errorf("%s CDF exceeds completion rate: %v", sc, last)
+		}
 	}
 }
 
@@ -83,16 +129,14 @@ func TestMobilityAlignmentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	opts := DefaultMobilityOpts()
-	opts.Trials = 8
-	rows := RunMobility(opts)
-	for _, r := range rows {
-		if r.AlignedFrac.Value() < 0.6 {
-			t.Errorf("%v aligned fraction %.2f too low — the paper's claim fails",
-				r.Scenario, r.AlignedFrac.Value())
+	tb := runTable(t, "mobility", CampaignParams{Trials: 8})
+	aligned, done := col(t, tb, "aligned"), col(t, tb, "ho_done")
+	for i, sc := range tb.Columns[0].Labels {
+		if aligned[i] < 60 {
+			t.Errorf("%s aligned fraction %.1f%% too low — the paper's claim fails", sc, aligned[i])
 		}
-		if r.HandoverRate.Value() < 0.6 {
-			t.Errorf("%v handover rate %.2f", r.Scenario, r.HandoverRate.Value())
+		if done[i] < 60 {
+			t.Errorf("%s handover rate %.1f%%", sc, done[i])
 		}
 	}
 }
@@ -101,29 +145,19 @@ func TestBaselineOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	opts := DefaultBaselineOpts()
-	opts.Trials = 8
-	rows := RunBaseline(opts)
-	var st, re BaselineRow
-	for _, r := range rows {
-		switch r.Variant {
-		case SilentTracker:
-			st = r
-		case Reactive:
-			re = r
-		}
-	}
+	tb := runTable(t, "baseline", CampaignParams{Trials: 8})
+	st, re := rowOf(t, tb, SilentTracker.String()), rowOf(t, tb, Reactive.String())
+	done, hard, intr := col(t, tb, "ho_done"), col(t, tb, "hard"), col(t, tb, "interrupt_mean")
 	// Reactive's handovers are hard; Silent Tracker's mostly soft.
-	if re.HandoverOK.Value() > 0 && re.HardRate.Value() < 0.8 {
-		t.Errorf("reactive hard rate %.2f, expected ~1", re.HardRate.Value())
+	if done[re] > 0 && hard[re] < 80 {
+		t.Errorf("reactive hard rate %.1f%%, expected ~100%%", hard[re])
 	}
-	if st.HardRate.Value() > 0.4 {
-		t.Errorf("silent tracker hard rate %.2f, expected low", st.HardRate.Value())
+	if hard[st] > 40 {
+		t.Errorf("silent tracker hard rate %.1f%%, expected low", hard[st])
 	}
 	// Silent tracker suffers less interruption than reactive.
-	if st.InterruptMs.Mean() >= re.InterruptMs.Mean() {
-		t.Errorf("interruption: ST %.0f ms should beat reactive %.0f ms",
-			st.InterruptMs.Mean(), re.InterruptMs.Mean())
+	if intr[st] >= intr[re] {
+		t.Errorf("interruption: ST %.0f ms should beat reactive %.0f ms", intr[st], intr[re])
 	}
 }
 
@@ -136,9 +170,6 @@ func TestScenarioHelpers(t *testing.T) {
 	}
 	if Narrow.Book().Size() != 18 || Wide.Book().Size() != 6 || Omni.Book().Size() != 1 {
 		t.Error("codebook sizes")
-	}
-	if len(AllScenarios()) != 3 {
-		t.Error("AllScenarios")
 	}
 	if HorizonFor(Vehicular) >= HorizonFor(Walk) {
 		t.Error("vehicular horizon should be shortest")
@@ -157,59 +188,82 @@ func TestMobilityForDiffersAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestShuffledSeeds(t *testing.T) {
-	s := ShuffledSeeds(1, 10)
-	if len(s) != 10 {
-		t.Fatal("wrong length")
+// render writes the def's text table and, when it has one, its CSV.
+func render(def CampaignDef, cells []campaign.CellResult) string {
+	var buf bytes.Buffer
+	tb := def.Table(cells)
+	def.Text(&buf, &tb)
+	if def.CSV != nil {
+		def.CSV(&buf, cells)
 	}
-	seen := map[int64]bool{}
-	for _, v := range s {
-		if seen[v] {
-			t.Fatal("duplicate seed")
-		}
-		seen[v] = true
-	}
-	s2 := ShuffledSeeds(1, 10)
-	for i := range s {
-		if s[i] != s2[i] {
-			t.Fatal("not reproducible")
-		}
-	}
+	return buf.String()
 }
 
 func TestTableWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	rows := RunFig2a(Fig2aQuick(5))
-	var buf bytes.Buffer
-	WriteFig2a(&buf, rows)
-	out := buf.String()
+	out := render(runCells(t, "fig2a", 0, CampaignParams{Trials: 5}))
 	if !strings.Contains(out, "Narrow") || !strings.Contains(out, "Omni") {
 		t.Errorf("fig2a table incomplete:\n%s", out)
 	}
-	buf.Reset()
-	WriteFig2aCSV(&buf, rows)
-	if !strings.HasPrefix(buf.String(), "config,dwells") {
+	if !strings.Contains(out, "\nconfig,dwells\n") {
 		t.Error("fig2a CSV header")
 	}
-
-	series := RunFig2c(Fig2cQuick(4))
-	buf.Reset()
-	WriteFig2c(&buf, series)
-	if !strings.Contains(buf.String(), "Rotation") {
+	out = render(runCells(t, "fig2c", 0, CampaignParams{Trials: 4}))
+	if !strings.Contains(out, "Rotation") {
 		t.Error("fig2c table incomplete")
 	}
-	buf.Reset()
-	WriteFig2cCSV(&buf, series)
-	if !strings.HasPrefix(buf.String(), "scenario,latency_ms") {
+	if !strings.Contains(out, "\nscenario,latency_ms,interrupt_ms\n") {
 		t.Error("fig2c CSV header")
 	}
+}
 
-	buf.Reset()
-	Banner(&buf, "test")
-	if !strings.Contains(buf.String(), "test") {
-		t.Error("banner")
+// TestFig2cCSVPairsEachTrial: each CSV line carries one completed
+// trial's own latency and interruption, ordered by latency — the two
+// columns are never sorted apart and re-paired by rank.
+func TestFig2cCSVPairsEachTrial(t *testing.T) {
+	cells := []campaign.CellResult{{
+		Cell: campaign.Cell{{Axis: "scenario", Value: "Walk"}},
+		Trials: []campaign.Metrics{
+			{"completed": {1}, "latency_ms": {200}, "interrupt_ms": {0}},
+			{"completed": {1}, "latency_ms": {100}, "interrupt_ms": {50}},
+			{"completed": {0}},
+		},
+	}}
+	var buf bytes.Buffer
+	fig2cDef.CSV(&buf, cells)
+	want := "scenario,latency_ms,interrupt_ms\nWalk,100,50\nWalk,200,0\n"
+	if buf.String() != want {
+		t.Errorf("fig2c CSV:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// TestTableSchema pins every experiment's Table columns — name, unit,
+// and position — to the public schema consumers read (quickstart
+// reads three of fig2a's). fig2c additionally carries its CDF grid.
+func TestTableSchema(t *testing.T) {
+	want := map[string][]string{
+		"fig2a":      {"config:", "success:%", "ci_lo:%", "ci_hi:%", "dwells_mean:dwells", "dwells_p50:dwells", "dwells_p90:dwells", "dwells_max:dwells", "trials:", "trials_ok:"},
+		"fig2c":      {"scenario:", "latency_p10:ms", "latency_p50:ms", "latency_p90:ms", "latency_max:ms", "done:%", "soft:", "dwells_mean:dwells", "cdf_200ms:", "cdf_400ms:", "cdf_600ms:", "cdf_800ms:", "cdf_1000ms:", "cdf_1200ms:", "cdf_1400ms:", "cdf_1600ms:", "cdf_1800ms:", "cdf_2000ms:"},
+		"mobility":   {"scenario:", "aligned:%", "misalign_p50:deg", "misalign_p90:deg", "ho_done:%", "hard:%"},
+		"threshold":  {"margin:dB", "handovers_mean:", "pingpongs_mean:", "interrupt_mean:ms", "loss:%", "no_handover:%"},
+		"hysteresis": {"trigger:dB", "switches_mean:", "losses_mean:", "misalign_mean:deg", "ho_done:%"},
+		"baseline":   {"strategy:", "ho_done:%", "hard:%", "latency_p50:ms", "interrupt_mean:ms", "recovery_mean:ms", "loss:%", "outage_p90:ms"},
+		"patterns":   {"model:", "success:%", "dwells_mean:dwells", "ho_done:%", "latency_p50:ms"},
+		"codebook":   {"beams:", "hpbw:deg", "success:%", "dwells_p50:dwells", "latency_p50:ms", "latency_max:ms", "full_scan:ms"},
+		"urban":      {"ues:", "ho_done:%", "ho_per_ue_min:1/min", "ho_p90:", "hard_share:%", "nbr_occupancy:%"},
+		"highway":    {"speed:m/s", "hold_p50:ms", "hold_p90:ms", "aligned:%", "ho_done:%", "hard_share:%"},
+		"hotspot":    {"density:", "track_ok:%", "losses_per_ue:", "ho_done:%", "hard_share:%"},
+	}
+	for _, def := range Campaigns() {
+		var got []string
+		for _, c := range def.Table(nil).Columns {
+			got = append(got, c.Name+":"+c.Unit)
+		}
+		if strings.Join(got, " ") != strings.Join(want[def.Name], " ") {
+			t.Errorf("%s table columns\n got %v\nwant %v", def.Name, got, want[def.Name])
+		}
 	}
 }
 
@@ -235,18 +289,17 @@ func TestPatternModelsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	rows := RunPatterns(PatternOpts{Trials: 10, Seed: 7000})
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	tb := runTable(t, "patterns", CampaignParams{Trials: 10})
+	if tb.rows() != 2 {
+		t.Fatalf("%d rows", tb.rows())
 	}
-	for i := range rows {
-		r := &rows[i]
-		if r.Success.Value() < 0.7 {
-			t.Errorf("%s search success %.2f: protocol should not depend on the pattern model",
-				r.Model, r.Success.Value())
+	succ, done := col(t, tb, "success"), col(t, tb, "ho_done")
+	for i, model := range tb.Columns[0].Labels {
+		if succ[i] < 70 {
+			t.Errorf("%s search success %.1f%%: protocol should not depend on the pattern model", model, succ[i])
 		}
-		if r.HandoverOK.Value() < 0.7 {
-			t.Errorf("%s handover rate %.2f", r.Model, r.HandoverOK.Value())
+		if done[i] < 70 {
+			t.Errorf("%s handover rate %.1f%%", model, done[i])
 		}
 	}
 }
@@ -255,33 +308,28 @@ func TestCodebookSweepScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial experiment")
 	}
-	rows := RunCodebook(CodebookOpts{Sizes: []int{6, 18, 64}, Trials: 12, Seed: 8000})
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
+	def, cells := runCells(t, "codebook", 0, CampaignParams{Trials: 12}, "6", "18", "64")
+	tb := def.Table(cells)
+	if tb.rows() != 3 {
+		t.Fatalf("%d rows", tb.rows())
 	}
 	// Latency (in dwells) must grow with codebook size.
-	if !(rows[0].Dwells.Median() < rows[1].Dwells.Median() &&
-		rows[1].Dwells.Median() < rows[2].Dwells.Median()) {
-		t.Errorf("dwell medians not increasing: %v %v %v",
-			rows[0].Dwells.Median(), rows[1].Dwells.Median(), rows[2].Dwells.Median())
+	d50 := col(t, tb, "dwells_p50")
+	if !(d50[0] < d50[1] && d50[1] < d50[2]) {
+		t.Errorf("dwell medians not increasing: %v", d50)
 	}
 	// The 64-beam worst-case full scan is the paper's 1.28 s.
-	if rows[2].FullMs != 1280 {
-		t.Errorf("64-beam full scan = %v ms, want 1280", rows[2].FullMs)
+	if full := col(t, tb, "full_scan")[2]; full != 1280 {
+		t.Errorf("64-beam full scan = %v ms, want 1280", full)
 	}
 	// Search under mobility gets less reliable as beams narrow.
-	if rows[2].Success.Value() > rows[0].Success.Value()+1e-9 &&
-		rows[2].Success.Value() == 1 {
+	if succ := col(t, tb, "success"); succ[2] > succ[0]+1e-9 && succ[2] == 100 {
 		t.Errorf("64-beam search should not beat 6-beam under mobility")
 	}
-	var buf bytes.Buffer
-	WriteCodebook(&buf, rows)
-	if !strings.Contains(buf.String(), "1280") {
+	if !strings.Contains(render(def, cells), "1280") {
 		t.Error("codebook table missing the 1.28 s row")
 	}
-	buf.Reset()
-	WritePatterns(&buf, RunPatterns(PatternOpts{Trials: 2, Seed: 1}))
-	if !strings.Contains(buf.String(), "ULA") {
+	if !strings.Contains(render(runCells(t, "patterns", 0, CampaignParams{Trials: 2, Seed: 1})), "ULA") {
 		t.Error("patterns table missing ULA row")
 	}
 }

@@ -6,126 +6,118 @@ import (
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/core"
-	"silenttracker/internal/rng"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 	"silenttracker/internal/world"
 )
 
-// Fig2aRow is one bar group of the paper's Fig. 2a: directional
-// neighbor-cell search under human walk at the cell edge, for one
-// mobile codebook configuration.
-type Fig2aRow struct {
-	Config BeamConfig
-	Trials int
-
-	// Search success rate (right panel): the fraction of search
-	// procedures that confirm a usable neighbor beam within the
-	// deadline and hold it for the verification window.
-	Success stats.Rate
-
-	// Search latency in beam searches, i.e. receive-beam dwells of one
-	// sweep period each (left panel), over successful searches.
-	Dwells stats.Sample
-
-	// Search latency in milliseconds (derived; one dwell = 20 ms).
-	LatencyMs stats.Sample
-}
-
-// Fig2aOpts configures the Fig. 2a run.
-type Fig2aOpts struct {
-	Trials  int   // search procedures per configuration
-	Seed    int64 // base seed
-	Workers int   // trial parallelism (0 = GOMAXPROCS); never changes results
-
-	// ScanBudget bounds one search procedure at this many complete
-	// codebook sweeps (dwell budget = ScanBudget × codebook size).
-	// A procedure that has swept every receive beam twice without
+// The Fig. 2a search procedure's bounds.
+const (
+	// scanBudget bounds one search procedure at this many complete
+	// codebook sweeps (dwell budget = scanBudget × codebook size). A
+	// procedure that has swept every receive beam twice without
 	// confirming a cell has failed — this is what makes "success rate"
 	// comparable across codebooks of different sizes.
-	ScanBudget int
+	scanBudget = 2
+	// verifyWindow is how long a found beam must survive to count.
+	verifyWindow = 100 * sim.Millisecond
+)
 
-	Verify sim.Time // found beam must survive this long to count
-}
-
-// DefaultFig2aOpts returns the full-fidelity settings.
-func DefaultFig2aOpts() Fig2aOpts {
-	return Fig2aOpts{
-		Trials:     150,
-		Seed:       1000,
-		ScanBudget: 2,
-		Verify:     100 * sim.Millisecond,
-	}
-}
-
-// Fig2aCampaign declares Fig. 2a as a campaign spec: one axis (the
-// mobile codebook configuration), the search trial as the unit body.
-func Fig2aCampaign(opts Fig2aOpts) *campaign.Spec {
-	return &campaign.Spec{
-		Name:        "fig2a",
-		Description: "directional neighbor search under human walk: success rate and latency per codebook",
-		Axes: []campaign.Axis{
-			{Name: "config", Values: []string{"Narrow", "Wide", "Omni"}},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 7919,
-		Epoch:      "fig2a/v1",
-		Config:     fmt.Sprintf("budget=%d,verify=%d", opts.ScanBudget, opts.Verify),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			ok, dwells := SearchTrial(BeamConfigNamed(cell.Get("config")), seed, opts)
-			m := campaign.NewMetrics()
-			m.Record("ok", ok)
-			if ok {
-				m.Add("dwells", float64(dwells))
-				m.Add("latency_ms", float64(dwells)*20)
-			}
-			return m
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteFig2a(w, Fig2aRows(cells, opts.Trials))
-		},
-	}
-}
-
-// Fig2aRows folds campaign cells back into the table's row structs.
-func Fig2aRows(cells []campaign.CellResult, trials int) []Fig2aRow {
-	rows := make([]Fig2aRow, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		rows = append(rows, Fig2aRow{
-			Config:    BeamConfigNamed(c.Cell.Get("config")),
-			Trials:    trials,
-			Success:   c.Rate("ok"),
-			Dwells:    c.Sample("dwells"),
-			LatencyMs: c.Sample("latency_ms"),
+// fig2aDef is the paper's Fig. 2a: directional neighbor-cell search
+// under human walk at the cell edge, per mobile codebook. The right
+// panel is the search success rate — the fraction of procedures that
+// confirm a usable neighbor beam within the budget and hold it for the
+// verification window; the left is the search latency in beam
+// searches (receive-beam dwells of one sweep period each) over
+// successful searches.
+var fig2aDef = CampaignDef{
+	Name:  "fig2a",
+	Title: "Figure 2a — directional search under mobility",
+	Quick: 25,
+	Spec: func() *campaign.Spec {
+		return &campaign.Spec{
+			Name:        "fig2a",
+			Description: "directional neighbor search under human walk: success rate and latency per codebook",
+			Axes: []campaign.Axis{
+				{Name: "config", Values: []string{"Narrow", "Wide", "Omni"}},
+			},
+			Trials:     150,
+			Seed:       1000,
+			SeedStride: 7919,
+			Epoch:      "fig2a/v1",
+			Config:     fmt.Sprintf("budget=%d,verify=%d", scanBudget, verifyWindow),
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				ok, dwells := SearchTrial(BeamConfigNamed(cell.Get("config")), seed)
+				m := campaign.NewMetrics()
+				m.Record("ok", ok)
+				if ok {
+					m.Add("dwells", float64(dwells))
+					m.Add("latency_ms", float64(dwells)*20)
+				}
+				return m
+			},
+		}
+	},
+	Table: func(cells []campaign.CellResult) Table {
+		return foldRows(cells, []Column{
+			{Name: "config"},
+			{Name: "success", Unit: "%"}, {Name: "ci_lo", Unit: "%"}, {Name: "ci_hi", Unit: "%"},
+			{Name: "dwells_mean", Unit: "dwells"}, {Name: "dwells_p50", Unit: "dwells"},
+			{Name: "dwells_p90", Unit: "dwells"}, {Name: "dwells_max", Unit: "dwells"},
+			{Name: "trials"}, {Name: "trials_ok"},
+		}, func(c *campaign.CellResult) []any {
+			ok, d := c.Rate("ok"), c.Sample("dwells")
+			lo, hi := ok.WilsonCI()
+			// The mean reads the dwells in trial order, before the
+			// quantiles sort them.
+			return []any{c.Cell.Get("config"), ok.Percent(), 100 * lo, 100 * hi,
+				d.Mean(), d.Median(), d.Quantile(0.9), d.Quantile(1),
+				float64(len(c.Trials)), float64(d.N())}
 		})
-	}
-	return rows
-}
-
-// RunFig2a regenerates both panels of Fig. 2a. Trials shard across
-// the campaign engine's runner pool; rows are identical at any
-// Workers value.
-func RunFig2a(opts Fig2aOpts) []Fig2aRow {
-	return Fig2aRows(campaign.Collect(Fig2aCampaign(opts), opts.Workers), opts.Trials)
+	},
+	Text: func(w io.Writer, t *Table) {
+		fmt.Fprintln(w, "Fig. 2a (left) — Search latency under human walk (number of beam searches)")
+		fmt.Fprintf(w, "%-8s %8s %8s %8s %8s %10s\n", "Config", "mean", "median", "p90", "max", "trials(ok)")
+		for i := 0; i < t.rows(); i++ {
+			r := t.row(i)
+			if r[0] == Omni.String() {
+				continue // the paper plots latency for Narrow and Wide only
+			}
+			fmt.Fprintf(w, "%-8s %8.1f %8.1f %8.1f %8.0f %6.0f(%.0f)\n", append(r[:1], r[4:]...)...)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "Fig. 2a (right) — Search success rate (%)")
+		fmt.Fprintf(w, "%-8s %10s %18s\n", "Config", "success", "95% CI")
+		for i := 0; i < t.rows(); i++ {
+			fmt.Fprintf(w, "%-8s %9.1f%% %8.1f%%–%.1f%%\n", t.row(i)[:4]...)
+		}
+	},
+	CSV: func(w io.Writer, cells []campaign.CellResult) {
+		fmt.Fprintln(w, "config,dwells")
+		for i := range cells {
+			d := cells[i].Sample("dwells")
+			for _, v := range d.Values() {
+				fmt.Fprintf(w, "%s,%g\n", cells[i].Cell.Get("config"), v)
+			}
+		}
+	},
 }
 
 // SearchTrial runs a single Fig. 2a search procedure under the
 // paper's human-walk scenario and reports whether it succeeded and
 // how many receive-beam dwells it took.
-func SearchTrial(cfgB BeamConfig, seed int64, opts Fig2aOpts) (success bool, dwells int) {
+func SearchTrial(cfg BeamConfig, seed int64) (success bool, dwells int) {
 	b := EdgeBuilder(seed)
-	b.UEBook = cfgB.Book()
+	b.UEBook = cfg.Book()
 	b.Mob = MobilityFor(Walk, seed)
-	return searchTrialWith(b, opts)
+	return searchTrialWith(b)
 }
 
 // searchTrialWith runs a search procedure on an already-configured
-// scenario builder (shared by SearchTrial and the pattern ablation).
-func searchTrialWith(b *world.Builder, opts Fig2aOpts) (success bool, dwells int) {
+// scenario builder (shared by SearchTrial, the pattern ablation and
+// the codebook sweep).
+func searchTrialWith(b *world.Builder) (success bool, dwells int) {
 	w := b.Build()
-	budget := opts.ScanBudget * b.UEBook.Size()
+	budget := scanBudget * b.UEBook.Size()
 	// The dwell clock runs in sweep periods; the search itself starts
 	// after the first serving burst, so pad the wall-clock deadline.
 	deadline := sim.Time(budget)*w.Tracker.Cfg.SweepPeriod + 100*sim.Millisecond
@@ -148,9 +140,9 @@ func searchTrialWith(b *world.Builder, opts Fig2aOpts) (success bool, dwells int
 
 	// Run until the verification window after discovery, or the
 	// deadline.
-	for w.Engine.Now() < deadline+opts.Verify {
+	for w.Engine.Now() < deadline+verifyWindow {
 		w.Run(w.Engine.Now() + 50*sim.Millisecond)
-		if foundAt != sim.Never && w.Engine.Now() >= foundAt+opts.Verify {
+		if foundAt != sim.Never && w.Engine.Now() >= foundAt+verifyWindow {
 			break
 		}
 	}
@@ -159,26 +151,8 @@ func searchTrialWith(b *world.Builder, opts Fig2aOpts) (success bool, dwells int
 	}
 	// Verification: the beam must not be lost within the window —
 	// a sidelobe ghost "discovery" dies immediately.
-	if lostAfter != sim.Never && lostAfter-foundAt < opts.Verify {
+	if lostAfter != sim.Never && lostAfter-foundAt < verifyWindow {
 		return false, 0
 	}
 	return true, dwells
-}
-
-// Fig2aQuick returns reduced-trial options for tests and smoke runs.
-func Fig2aQuick(trials int) Fig2aOpts {
-	o := DefaultFig2aOpts()
-	o.Trials = trials
-	return o
-}
-
-// ShuffledSeeds is a helper for experiments that want decorrelated
-// trial seeds.
-func ShuffledSeeds(base int64, n int) []int64 {
-	src := rng.Stream(base, "experiments/seeds")
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = src.Int63()
-	}
-	return out
 }

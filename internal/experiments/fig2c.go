@@ -1,99 +1,125 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"sort"
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/handover"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 )
 
-// Fig2cSeries is one CDF curve of the paper's Fig. 2c: the time from
-// the start of the neighbor search to the successful conclusion of the
-// soft handover, under one mobility scenario.
-type Fig2cSeries struct {
-	Scenario  Scenario
-	Trials    int
-	Completed int          // trials whose first handover concluded
-	SoftCount int          // of those, how many stayed soft
-	Latency   stats.Sample // milliseconds, one point per completed trial
-	Dwells    stats.Sample // beam-search dwells of the preceding search
-	Interrupt stats.Sample // interruption ms (0 for clean soft handovers)
-}
+// The CDF grid of Fig. 2c's text table: cdfPoints latencies from
+// cdfLoMs to cdfHiMs, spanning the paper's 400–1800 ms axis.
+const cdfLoMs, cdfHiMs, cdfPoints = 200.0, 2000.0, 10
 
-// Fig2cOpts configures the Fig. 2c run.
-type Fig2cOpts struct {
-	Trials  int
-	Seed    int64
-	Workers int // trial parallelism (0 = GOMAXPROCS); never changes results
-}
+// cdfAt returns grid point j in ms, as stats.Sample.ECDFGrid spaces it.
+func cdfAt(j int) float64 { return cdfLoMs + (cdfHiMs-cdfLoMs)*float64(j)/float64(cdfPoints-1) }
 
-// DefaultFig2cOpts returns the full-fidelity settings.
-func DefaultFig2cOpts() Fig2cOpts {
-	return Fig2cOpts{Trials: 200, Seed: 2000}
-}
+// fig2cSummary is the number of Fig. 2c Table columns before the CDF
+// grid's.
+const fig2cSummary = 8
 
-// Fig2cQuick returns reduced-trial options for tests and smoke runs.
-func Fig2cQuick(trials int) Fig2cOpts {
-	o := DefaultFig2cOpts()
-	o.Trials = trials
-	return o
-}
-
-// Fig2cCampaign declares Fig. 2c as a campaign spec: one axis (the
-// mobility scenario), the handover trial as the unit body.
-func Fig2cCampaign(opts Fig2cOpts) *campaign.Spec {
-	return &campaign.Spec{
-		Name:        "fig2c",
-		Description: "soft handover completion time CDF per mobility scenario (narrow codebook)",
-		Axes: []campaign.Axis{
-			{Name: "scenario", Values: ScenarioNames()},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 104729,
-		Epoch:      "fig2c/v1",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			rec, ok := HandoverTrial(ScenarioNamed(cell.Get("scenario")), seed)
-			m := campaign.NewMetrics()
-			m.Record("completed", ok)
-			if ok {
-				m.Record("soft", rec.Kind == handover.Soft)
-				m.Add("latency_ms", rec.Latency().Millis())
-				m.Add("dwells", float64(rec.Dwells))
-				m.Add("interrupt_ms", rec.Interruption.Millis())
+// fig2cDef is the paper's Fig. 2c: per mobility scenario, the CDF of
+// the time from the start of the neighbor search to the successful
+// conclusion of the soft handover, with the narrow (20°) codebook.
+var fig2cDef = CampaignDef{
+	Name:  "fig2c",
+	Title: "Figure 2c — soft handover completion time CDF",
+	Quick: 20,
+	Spec: func() *campaign.Spec {
+		return &campaign.Spec{
+			Name:        "fig2c",
+			Description: "soft handover completion time CDF per mobility scenario (narrow codebook)",
+			Axes: []campaign.Axis{
+				{Name: "scenario", Values: ScenarioNames()},
+			},
+			Trials:     200,
+			Seed:       2000,
+			SeedStride: 104729,
+			Epoch:      "fig2c/v1",
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				rec, ok := HandoverTrial(ScenarioNamed(cell.Get("scenario")), seed)
+				m := campaign.NewMetrics()
+				m.Record("completed", ok)
+				if ok {
+					m.Record("soft", rec.Kind == handover.Soft)
+					m.Add("latency_ms", rec.Latency().Millis())
+					m.Add("dwells", float64(rec.Dwells))
+					m.Add("interrupt_ms", rec.Interruption.Millis())
+				}
+				return m
+			},
+		}
+	},
+	// The summary columns, then one column per CDF grid point holding
+	// P[latency <= t] scaled by the completion rate, so incomplete
+	// trials keep the curve below 1.
+	Table: func(cells []campaign.CellResult) Table {
+		cols := []Column{
+			{Name: "scenario"},
+			{Name: "latency_p10", Unit: "ms"}, {Name: "latency_p50", Unit: "ms"},
+			{Name: "latency_p90", Unit: "ms"}, {Name: "latency_max", Unit: "ms"},
+			{Name: "done", Unit: "%"}, {Name: "soft"}, {Name: "dwells_mean", Unit: "dwells"},
+		}
+		for j := 0; j < cdfPoints; j++ {
+			cols = append(cols, Column{Name: fmt.Sprintf("cdf_%.0fms", cdfAt(j))})
+		}
+		return foldRows(cells, cols, func(c *campaign.CellResult) []any {
+			lat, done := c.Sample("latency_ms"), c.Rate("completed")
+			rate := 0.0
+			if len(c.Trials) > 0 {
+				rate = float64(done.Successes) / float64(len(c.Trials))
 			}
-			return m
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteFig2c(w, Fig2cSeriesOf(cells, opts.Trials))
-		},
-	}
-}
-
-// Fig2cSeriesOf folds campaign cells back into the CDF series.
-func Fig2cSeriesOf(cells []campaign.CellResult, trials int) []Fig2cSeries {
-	out := make([]Fig2cSeries, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out = append(out, Fig2cSeries{
-			Scenario:  ScenarioNamed(c.Cell.Get("scenario")),
-			Trials:    trials,
-			Completed: c.Rate("completed").Successes,
-			SoftCount: c.Rate("soft").Successes,
-			Latency:   c.Sample("latency_ms"),
-			Dwells:    c.Sample("dwells"),
-			Interrupt: c.Sample("interrupt_ms"),
+			row := []any{c.Cell.Get("scenario"),
+				lat.Quantile(0.1), lat.Median(), lat.Quantile(0.9), lat.Quantile(1),
+				100 * rate, float64(c.Rate("soft").Successes), meanOf(c, "dwells")}
+			for _, p := range lat.ECDFGrid(cdfLoMs, cdfHiMs, cdfPoints) {
+				row = append(row, p.P*rate)
+			}
+			return row
 		})
-	}
-	return out
-}
-
-// RunFig2c regenerates the paper's Fig. 2c: per-scenario CDFs of soft
-// handover completion time with the narrow (20°) codebook.
-func RunFig2c(opts Fig2cOpts) []Fig2cSeries {
-	return Fig2cSeriesOf(campaign.Collect(Fig2cCampaign(opts), opts.Workers), opts.Trials)
+	},
+	Text: func(w io.Writer, t *Table) {
+		fmt.Fprintln(w, "Fig. 2c — Soft handover completion time (search start → access complete)")
+		fmt.Fprintf(w, "%-10s %8s %8s %8s %8s %8s %9s %6s\n",
+			"Scenario", "p10(ms)", "p50(ms)", "p90(ms)", "max(ms)", "done", "soft", "dwells")
+		for i := 0; i < t.rows(); i++ {
+			fmt.Fprintf(w, "%-10s %8.0f %8.0f %8.0f %8.0f %7.0f%% %7.0f %6.1f\n", t.row(i)[:fig2cSummary]...)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "CDF grid (P[latency <= t]):")
+		fmt.Fprintf(w, "%8s", "t(ms)")
+		for _, sc := range t.Columns[0].Labels {
+			fmt.Fprintf(w, "%12s", sc)
+		}
+		fmt.Fprintln(w)
+		for j := 0; j < cdfPoints; j++ {
+			fmt.Fprintf(w, "%8.0f", cdfAt(j))
+			for _, p := range t.Columns[fig2cSummary+j].Values {
+				fmt.Fprintf(w, "%12.2f", p)
+			}
+			fmt.Fprintln(w)
+		}
+	},
+	// One line per completed trial: its own latency and interruption,
+	// ordered by latency (ties in trial order).
+	CSV: func(w io.Writer, cells []campaign.CellResult) {
+		fmt.Fprintln(w, "scenario,latency_ms,interrupt_ms")
+		for i := range cells {
+			var pairs [][2]float64
+			for _, m := range cells[i].Trials {
+				if lat := m["latency_ms"]; len(lat) > 0 {
+					pairs = append(pairs, [2]float64{lat[0], m.Scalar("interrupt_ms")})
+				}
+			}
+			sort.SliceStable(pairs, func(a, b int) bool { return pairs[a][0] < pairs[b][0] })
+			for _, p := range pairs {
+				fmt.Fprintf(w, "%s,%g,%g\n", cells[i].Cell.Get("scenario"), p[0], p[1])
+			}
+		}
+	},
 }
 
 // HandoverTrial runs one Fig. 2c scenario instance to its first
@@ -107,25 +133,4 @@ func HandoverTrial(sc Scenario, seed int64) (handover.Record, bool) {
 		w.Run(w.Engine.Now() + 100*sim.Millisecond)
 	}
 	return aud.First()
-}
-
-// CompletionRate returns the fraction of trials whose handover
-// concluded — the CDF's asymptote.
-func (s Fig2cSeries) CompletionRate() float64 {
-	if s.Trials == 0 {
-		return 0
-	}
-	return float64(s.Completed) / float64(s.Trials)
-}
-
-// CDF samples the series' latency ECDF on a shared grid (milliseconds)
-// matching the paper's 400–1800 ms axis, scaled by the completion
-// rate so incomplete trials keep the curve below 1.
-func (s *Fig2cSeries) CDF(loMs, hiMs float64, points int) []stats.ECDFPoint {
-	grid := s.Latency.ECDFGrid(loMs, hiMs, points)
-	scale := s.CompletionRate()
-	for i := range grid {
-		grid[i].P *= scale
-	}
-	return grid
 }

@@ -2,57 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/core"
 	"silenttracker/internal/geom"
 	"silenttracker/internal/scenario"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 )
-
-// HighwayRow summarises one speed of the highway family: a vehicular
-// fleet driving a linear corridor of cells, measuring how long the
-// silently tracked neighbor beam is held as speed grows.
-type HighwayRow struct {
-	SpeedMps float64
-	Trials   int
-
-	// HoldMs is the distribution of tracking-episode durations
-	// (neighbor found → handover complete, neighbor lost, or horizon).
-	HoldMs stats.Sample
-	// Aligned: fraction of 10 ms samples within one beamwidth while
-	// tracking.
-	Aligned stats.Rate
-	// HandoverOK: UEs that completed at least one handover.
-	HandoverOK stats.Rate
-	// Handovers / HardHandovers are per-UE event-count distributions;
-	// their ratio is the hard share of all completed handovers.
-	Handovers     stats.Sample
-	HardHandovers stats.Sample
-}
-
-// HardShare returns the fraction of completed handovers that
-// degenerated into hard ones.
-func (r *HighwayRow) HardShare() float64 {
-	return hardShare(&r.HardHandovers, &r.Handovers)
-}
-
-// HighwayOpts configures the highway family.
-type HighwayOpts struct {
-	Trials  int
-	Seed    int64
-	Workers int
-	// Speeds are the vehicular speeds swept, m/s.
-	Speeds []float64
-}
-
-// DefaultHighwayOpts returns the full-fidelity settings. 25 m/s is
-// ~56 mph — nearly three times the paper's vehicular case.
-func DefaultHighwayOpts() HighwayOpts {
-	return HighwayOpts{Trials: 12, Seed: 9100, Speeds: []float64{5, 10, 15, 20, 25}}
-}
 
 // highwaySpacing is the corridor inter-site distance, meters.
 const highwaySpacing = 25.0
@@ -92,36 +48,59 @@ func highwayHorizon(speed float64) sim.Time {
 	return sim.Time(t * float64(sim.Second))
 }
 
-// HighwayCampaign declares the highway family as a campaign spec with
-// speed as the sweep axis.
-func HighwayCampaign(opts HighwayOpts) *campaign.Spec {
-	values := make([]string, len(opts.Speeds))
-	// The horizon depends on the swept speed, so the placeholder
-	// fingerprint alone would not see highwayHorizon changes; fold the
-	// realized horizon of every axis value into the config identity.
-	horizons := make([]string, len(opts.Speeds))
-	for i, v := range opts.Speeds {
-		values[i] = fmt.Sprintf("%g", v)
-		horizons[i] = fmt.Sprintf("%d", int64(highwayHorizon(v)))
-	}
-	return &campaign.Spec{
-		Name:        "highway",
-		Description: "corridor vehicular fleet: alignment hold duration vs speed",
-		Axes: []campaign.Axis{
-			{Name: "speed_mps", Values: values},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 31337,
-		Epoch:      "highway/v1",
-		Config:     fmt.Sprintf("%s horizons=%v", highwaySpec(1).Fingerprint(), horizons),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			return highwayTrial(cell.Float("speed_mps"), seed)
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteHighway(w, HighwayRows(cells, opts.Trials))
-		},
-	}
+// highwayDef is the highway family: a vehicular fleet driving a
+// linear corridor of cells, swept over speed (25 m/s is ~56 mph —
+// nearly three times the paper's vehicular case), measuring how long
+// the silently tracked neighbor beam is held: the tracking-episode
+// durations (neighbor found → handover complete, neighbor lost, or
+// horizon), the share of 10 ms samples within one beamwidth while
+// tracking, and the completed and hard handovers per UE.
+var highwayDef = CampaignDef{
+	Name:  "highway",
+	Title: "Highway corridor — alignment hold duration vs speed",
+	Quick: 3,
+	Spec: func() *campaign.Spec {
+		speeds := []float64{5, 10, 15, 20, 25}
+		values := make([]string, len(speeds))
+		// The horizon depends on the swept speed, so the placeholder
+		// fingerprint alone would not see highwayHorizon changes; fold
+		// the realized horizon of every axis value into the config
+		// identity.
+		horizons := make([]string, len(speeds))
+		for i, v := range speeds {
+			values[i] = fmt.Sprintf("%g", v)
+			horizons[i] = fmt.Sprintf("%d", int64(highwayHorizon(v)))
+		}
+		return &campaign.Spec{
+			Name:        "highway",
+			Description: "corridor vehicular fleet: alignment hold duration vs speed",
+			Axes: []campaign.Axis{
+				{Name: "speed_mps", Values: values},
+			},
+			Trials:     12,
+			Seed:       9100,
+			SeedStride: 31337,
+			Epoch:      "highway/v1",
+			Config:     fmt.Sprintf("%s horizons=%v", highwaySpec(1).Fingerprint(), horizons),
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				return highwayTrial(cell.Float("speed_mps"), seed)
+			},
+		}
+	},
+	Table: func(cells []campaign.CellResult) Table {
+		return foldRows(cells, []Column{
+			{Name: "speed", Unit: "m/s"}, {Name: "hold_p50", Unit: "ms"}, {Name: "hold_p90", Unit: "ms"},
+			{Name: "aligned", Unit: "%"}, {Name: "ho_done", Unit: "%"}, {Name: "hard_share", Unit: "%"},
+		}, func(c *campaign.CellResult) []any {
+			hold, aligned := c.Sample("hold_ms"), c.RateCounts("aligned")
+			return []any{c.Cell.Float("speed_mps"), hold.Median(), hold.Quantile(0.9),
+				aligned.Percent(), pctOf(c, "ho_ok"), 100 * hardShare(c)}
+		})
+	},
+	Text: textRows("Highway corridor (5 cells) — silent alignment hold vs vehicular speed\n"+
+		fmt.Sprintf("%-10s %10s %10s %10s %10s %10s\n",
+			"speed", "hold p50", "hold p90", "aligned", "HO done", "hard/HO"),
+		"%-7.0f m/s %7.0f ms %7.0f ms %9.1f%% %9.1f%% %9.1f%%\n"),
 }
 
 // highwayTrial compiles and runs one fleet at one speed. The aligned
@@ -179,39 +158,4 @@ func highwayTrial(speed float64, seed int64) campaign.Metrics {
 	m.Count("aligned_ok", alignedOK)
 	m.Count("aligned_n", alignedN)
 	return m
-}
-
-// HighwayRows folds campaign cells back into rows.
-func HighwayRows(cells []campaign.CellResult, trials int) []HighwayRow {
-	out := make([]HighwayRow, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out = append(out, HighwayRow{
-			SpeedMps:      c.Cell.Float("speed_mps"),
-			Trials:        trials,
-			HoldMs:        c.Sample("hold_ms"),
-			Aligned:       c.RateCounts("aligned"),
-			HandoverOK:    c.Rate("ho_ok"),
-			Handovers:     c.Sample("handovers"),
-			HardHandovers: c.Sample("hard_handovers"),
-		})
-	}
-	return out
-}
-
-// WriteHighway renders the alignment-hold table.
-func WriteHighway(w io.Writer, rows []HighwayRow) {
-	fmt.Fprintln(w, "Highway corridor (5 cells) — silent alignment hold vs vehicular speed")
-	fmt.Fprintf(w, "%-10s %10s %10s %10s %10s %10s\n",
-		"speed", "hold p50", "hold p90", "aligned", "HO done", "hard/HO")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-7.0f m/s %7.0f ms %7.0f ms %9.1f%% %9.1f%% %9.1f%%\n",
-			r.SpeedMps, r.HoldMs.Median(), r.HoldMs.Quantile(0.9),
-			r.Aligned.Percent(), r.HandoverOK.Percent(), 100*r.HardShare())
-	}
-}
-
-// RunHighway regenerates the highway table.
-func RunHighway(opts HighwayOpts) []HighwayRow {
-	return HighwayRows(campaign.Collect(HighwayCampaign(opts), opts.Workers), opts.Trials)
 }

@@ -1,110 +1,72 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/core"
 	"silenttracker/internal/geom"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 )
 
-// MobilityRow quantifies the paper's §3 claim — "Silent Tracker
+// mobilityDef quantifies the paper's §3 claim — "Silent Tracker
 // maintains the mobile's receive beam aligned to the potential target
 // base station's transmit beam till the successful conclusion of
-// handover" — for one mobility scenario.
-type MobilityRow struct {
-	Scenario Scenario
-	Trials   int
-
-	// AlignedFrac: fraction of 10 ms samples between neighbor
-	// discovery and handover completion where the tracked receive
-	// beam's boresight was within one beamwidth of the true bearing —
-	// i.e. the beam still delivers useful gain and the 3 dB rule can
-	// recover with a single adjacent switch.
-	AlignedFrac stats.Rate
-
-	// MisalignDeg: angular error (degrees) over the same samples.
-	MisalignDeg stats.Sample
-
-	// HandoverRate: trials whose first handover concluded.
-	HandoverRate stats.Rate
-
-	// HardRate: trials that degenerated into a hard handover.
-	HardRate stats.Rate
-}
-
-// MobilityOpts configures the alignment study.
-type MobilityOpts struct {
-	Trials  int
-	Seed    int64
-	Workers int // trial parallelism (0 = GOMAXPROCS); never changes results
-}
-
-// DefaultMobilityOpts returns the full-fidelity settings.
-func DefaultMobilityOpts() MobilityOpts { return MobilityOpts{Trials: 60, Seed: 3000} }
-
-// MobilityCampaign declares the alignment study as a campaign spec.
-// Per-10 ms alignment records are carried as pre-aggregated counter
-// pairs plus the raw misalignment series, so folding cached trials
-// reproduces the serial accumulation exactly.
-func MobilityCampaign(opts MobilityOpts) *campaign.Spec {
-	return &campaign.Spec{
-		Name:        "mobility",
-		Description: "alignment held until handover conclusion, per mobility scenario (§3 claim)",
-		Axes: []campaign.Axis{
-			{Name: "scenario", Values: ScenarioNames()},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 31337,
-		Epoch:      "mobility/v1",
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			var t MobilityRow
-			oneAlignmentTrial(ScenarioNamed(cell.Get("scenario")), seed, &t)
-			m := campaign.NewMetrics()
-			m.Count("aligned_ok", t.AlignedFrac.Successes)
-			m.Count("aligned_n", t.AlignedFrac.Trials)
-			m.Add("misalign_deg", t.MisalignDeg.Raw()...)
-			m.Record("ho_done", t.HandoverRate.Successes > 0)
-			m.Record("hard", t.HardRate.Successes > 0)
-			return m
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteMobility(w, MobilityRows(cells, opts.Trials))
-		},
-	}
-}
-
-// MobilityRows folds campaign cells back into the table's row structs.
-func MobilityRows(cells []campaign.CellResult, trials int) []MobilityRow {
-	out := make([]MobilityRow, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out = append(out, MobilityRow{
-			Scenario:     ScenarioNamed(c.Cell.Get("scenario")),
-			Trials:       trials,
-			AlignedFrac:  c.RateCounts("aligned"),
-			MisalignDeg:  c.Sample("misalign_deg"),
-			HandoverRate: c.Rate("ho_done"),
-			HardRate:     c.Rate("hard"),
+// handover" — per mobility scenario: the share of 10 ms samples
+// between neighbor discovery and handover completion where the tracked
+// receive beam's boresight was within one beamwidth of the true
+// bearing (the beam still delivers useful gain and the 3 dB rule can
+// recover with a single adjacent switch), the angular error over the
+// same samples, and how many first handovers concluded, and hard.
+var mobilityDef = CampaignDef{
+	Name:  "mobility",
+	Title: "Alignment held until handover conclusion (§3 claim)",
+	Quick: 10,
+	Spec: func() *campaign.Spec {
+		return &campaign.Spec{
+			Name:        "mobility",
+			Description: "alignment held until handover conclusion, per mobility scenario (§3 claim)",
+			Axes: []campaign.Axis{
+				{Name: "scenario", Values: ScenarioNames()},
+			},
+			Trials:     60,
+			Seed:       3000,
+			SeedStride: 31337,
+			Epoch:      "mobility/v1",
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				return alignmentTrial(ScenarioNamed(cell.Get("scenario")), seed)
+			},
+		}
+	},
+	Table: func(cells []campaign.CellResult) Table {
+		return foldRows(cells, []Column{
+			{Name: "scenario"}, {Name: "aligned", Unit: "%"},
+			{Name: "misalign_p50", Unit: "deg"}, {Name: "misalign_p90", Unit: "deg"},
+			{Name: "ho_done", Unit: "%"}, {Name: "hard", Unit: "%"},
+		}, func(c *campaign.CellResult) []any {
+			aligned, mis := c.RateCounts("aligned"), c.Sample("misalign_deg")
+			return []any{c.Cell.Get("scenario"), aligned.Percent(), mis.Median(), mis.Quantile(0.9),
+				pctOf(c, "ho_done"), pctOf(c, "hard")}
 		})
-	}
-	return out
+	},
+	Text: textRows("Alignment maintained while silently tracking (narrow codebook)\n"+
+		fmt.Sprintf("%-10s %10s %12s %12s %10s %8s\n",
+			"Scenario", "aligned", "misalign p50", "misalign p90", "HO done", "hard"),
+		"%-10s %9.1f%% %10.1f°  %10.1f°  %9.1f%% %7.1f%%\n"),
 }
 
-// RunMobility regenerates the alignment-held table.
-func RunMobility(opts MobilityOpts) []MobilityRow {
-	return MobilityRows(campaign.Collect(MobilityCampaign(opts), opts.Workers), opts.Trials)
-}
-
-func oneAlignmentTrial(sc Scenario, seed int64, row *MobilityRow) {
+// alignmentTrial runs one scenario instance to its first completed
+// handover, sampling alignment every 10 ms while the neighbor beam is
+// held. The per-sample alignment records are carried as a
+// pre-aggregated counter pair plus the raw misalignment series, so
+// folding cached trials reproduces the serial accumulation exactly.
+func alignmentTrial(sc Scenario, seed int64) campaign.Metrics {
 	w := EdgeWorld(sc, Narrow, seed)
 	alignedTol := w.Device.Book.Beamwidth()
 
 	tracking := false
-	var trackedCell int
+	var trackedCell, alignedOK, alignedN int
+	var misalign []float64
 	done := false
 	hard := false
 	w.Tracker.SetEventHook(func(e core.Event) {
@@ -121,7 +83,6 @@ func oneAlignmentTrial(sc Scenario, seed int64, row *MobilityRow) {
 		}
 	})
 
-	// Sample alignment every 10 ms while the neighbor beam is held.
 	w.Engine.Every(10*sim.Millisecond, func() {
 		if !tracking || done {
 			return
@@ -130,14 +91,22 @@ func oneAlignmentTrial(sc Scenario, seed int64, row *MobilityRow) {
 		if errRad >= geom.TwoPi {
 			return // no beam right now (mid-probe bookkeeping)
 		}
-		row.MisalignDeg.Add(geom.Rad(errRad))
-		row.AlignedFrac.Record(errRad <= alignedTol)
+		misalign = append(misalign, geom.Rad(errRad))
+		alignedN++
+		if errRad <= alignedTol {
+			alignedOK++
+		}
 	})
 
 	horizon := HorizonFor(sc)
 	for w.Engine.Now() < horizon && !done {
 		w.Run(w.Engine.Now() + 100*sim.Millisecond)
 	}
-	row.HandoverRate.Record(done)
-	row.HardRate.Record(hard)
+	m := campaign.NewMetrics()
+	m.Count("aligned_ok", alignedOK)
+	m.Count("aligned_n", alignedN)
+	m.Add("misalign_deg", misalign...)
+	m.Record("ho_done", done)
+	m.Record("hard", hard)
+	return m
 }

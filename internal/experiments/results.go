@@ -2,20 +2,24 @@ package experiments
 
 // This file is the typed result path of every registered campaign:
 // each experiment folds its cells into a Table — a column-major,
-// renderer-independent summary whose numbers are exactly the ones the
-// text tables print. The public st package re-exports Table verbatim,
-// so programmatic consumers read typed columns instead of scraping
+// renderer-independent summary — and its text layout formats that
+// Table alone, so every number a text table prints is a column of the
+// Table. The public st package re-exports Table verbatim, so
+// programmatic consumers read typed columns instead of scraping
 // stdout.
 
-import "silenttracker/internal/campaign"
+import (
+	"fmt"
+	"io"
+
+	"silenttracker/internal/campaign"
+)
 
 // Table is the typed form of one experiment's summary: columns in
 // presentation order, each carrying either labels (scenario names,
 // strategy names) or values. All columns have one entry per row.
-// Tables round-trip through JSON without loss: labels are strings,
-// values are float64 (Go marshals shortest-round-trip).
 type Table struct {
-	Columns []Column `json:"columns"`
+	Columns []Column
 }
 
 // Column is one typed column. Exactly one of Labels/Values is
@@ -23,14 +27,14 @@ type Table struct {
 // Unit names the value's unit ("%", "ms", "dB", ...); it is
 // documentation, not a scale factor.
 type Column struct {
-	Name   string    `json:"name"`
-	Unit   string    `json:"unit,omitempty"`
-	Labels []string  `json:"labels,omitempty"`
-	Values []float64 `json:"values,omitempty"`
+	Name   string
+	Unit   string
+	Labels []string
+	Values []float64
 }
 
-// Rows returns the table's row count (all columns are equal length).
-func (t *Table) Rows() int {
+// rows returns the table's row count (all columns are equal length).
+func (t *Table) rows() int {
 	if len(t.Columns) == 0 {
 		return 0
 	}
@@ -41,267 +45,78 @@ func (t *Table) Rows() int {
 	return len(c.Values)
 }
 
-func labelCol(name string, vs []string) Column {
-	return Column{Name: name, Labels: vs}
-}
-
-func valueCol(name, unit string, vs []float64) Column {
-	return Column{Name: name, Unit: unit, Values: vs}
-}
-
-// Fig2aTable is the typed form of both Fig. 2a panels.
-func Fig2aTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := Fig2aRows(cells, p.trials("fig2a", DefaultFig2aOpts().Trials))
-	n := len(rows)
-	cfg := make([]string, n)
-	succ, ciLo, ciHi := make([]float64, n), make([]float64, n), make([]float64, n)
-	mean, p50, p90, max := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	trials, ok := make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		cfg[i] = r.Config.String()
-		succ[i] = r.Success.Percent()
-		lo, hi := r.Success.WilsonCI()
-		ciLo[i], ciHi[i] = 100*lo, 100*hi
-		mean[i], p50[i] = r.Dwells.Mean(), r.Dwells.Median()
-		p90[i], max[i] = r.Dwells.Quantile(0.9), r.Dwells.Quantile(1)
-		trials[i], ok[i] = float64(r.Trials), float64(r.Dwells.N())
+// row returns row i's entries in column order: a string for each
+// label column, a float64 for each value column.
+func (t *Table) row(i int) []any {
+	out := make([]any, len(t.Columns))
+	for j, c := range t.Columns {
+		if c.Labels != nil {
+			out[j] = c.Labels[i]
+		} else {
+			out[j] = c.Values[i]
+		}
 	}
-	return Table{Columns: []Column{
-		labelCol("config", cfg),
-		valueCol("success", "%", succ),
-		valueCol("ci_lo", "%", ciLo),
-		valueCol("ci_hi", "%", ciHi),
-		valueCol("dwells_mean", "dwells", mean),
-		valueCol("dwells_p50", "dwells", p50),
-		valueCol("dwells_p90", "dwells", p90),
-		valueCol("dwells_max", "dwells", max),
-		valueCol("trials", "", trials),
-		valueCol("trials_ok", "", ok),
-	}}
+	return out
 }
 
-// Fig2cTable is the typed form of the Fig. 2c per-scenario summary.
-func Fig2cTable(cells []campaign.CellResult, p CampaignParams) Table {
-	series := Fig2cSeriesOf(cells, p.trials("fig2c", DefaultFig2cOpts().Trials))
-	n := len(series)
-	sc := make([]string, n)
-	p10, p50, p90, max := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	done, soft, dwells := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, s := range series {
-		sc[i] = s.Scenario.String()
-		p10[i], p50[i] = s.Latency.Quantile(0.1), s.Latency.Median()
-		p90[i], max[i] = s.Latency.Quantile(0.9), s.Latency.Quantile(1)
-		done[i], soft[i] = 100*s.CompletionRate(), float64(s.SoftCount)
-		dwells[i] = s.Dwells.Mean()
+// foldRows builds a Table with the given columns and one row per
+// cell: row returns the cell's entries in column order, a string for
+// a label column and a float64 for a value column.
+func foldRows(cells []campaign.CellResult, cols []Column, row func(c *campaign.CellResult) []any) Table {
+	for i := range cells {
+		for j, v := range row(&cells[i]) {
+			switch v := v.(type) {
+			case string:
+				cols[j].Labels = append(cols[j].Labels, v)
+			case float64:
+				cols[j].Values = append(cols[j].Values, v)
+			default:
+				panic(fmt.Sprintf("experiments: column %s: entry %T is neither label nor value", cols[j].Name, v))
+			}
+		}
 	}
-	return Table{Columns: []Column{
-		labelCol("scenario", sc),
-		valueCol("latency_p10", "ms", p10),
-		valueCol("latency_p50", "ms", p50),
-		valueCol("latency_p90", "ms", p90),
-		valueCol("latency_max", "ms", max),
-		valueCol("done", "%", done),
-		valueCol("soft", "", soft),
-		valueCol("dwells_mean", "dwells", dwells),
-	}}
+	return Table{Columns: cols}
 }
 
-// MobilityTable is the typed form of the alignment-held table.
-func MobilityTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := MobilityRows(cells, p.trials("mobility", DefaultMobilityOpts().Trials))
-	n := len(rows)
-	sc := make([]string, n)
-	aligned, m50, m90 := make([]float64, n), make([]float64, n), make([]float64, n)
-	done, hard := make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		sc[i] = r.Scenario.String()
-		aligned[i] = r.AlignedFrac.Percent()
-		m50[i], m90[i] = r.MisalignDeg.Median(), r.MisalignDeg.Quantile(0.9)
-		done[i], hard[i] = r.HandoverRate.Percent(), r.HardRate.Percent()
+// textRows is the text layout most experiments share: head verbatim
+// (title and column header), then one line per Table row, formatted
+// by row with one verb per column in column order.
+func textRows(head, row string) func(io.Writer, *Table) {
+	return func(w io.Writer, t *Table) {
+		io.WriteString(w, head)
+		for i := 0; i < t.rows(); i++ {
+			fmt.Fprintf(w, row, t.row(i)...)
+		}
 	}
-	return Table{Columns: []Column{
-		labelCol("scenario", sc),
-		valueCol("aligned", "%", aligned),
-		valueCol("misalign_p50", "deg", m50),
-		valueCol("misalign_p90", "deg", m90),
-		valueCol("ho_done", "%", done),
-		valueCol("hard", "%", hard),
-	}}
 }
 
-// ThresholdTable is the typed form of the handover-margin ablation.
-func ThresholdTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := ThresholdRows(cells, p.trials("threshold", DefaultThresholdOpts().Trials))
-	n := len(rows)
-	margin := make([]float64, n)
-	ho, pp, intr, loss, noHO := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		margin[i] = r.MarginDB
-		ho[i], pp[i] = r.Handovers.Mean(), r.PingPongs.Mean()
-		intr[i], loss[i] = r.InterruptMs.Mean(), 100*r.LossRate.Mean()
-		noHO[i] = r.NoHandover.Percent()
-	}
-	return Table{Columns: []Column{
-		valueCol("margin", "dB", margin),
-		valueCol("handovers_mean", "", ho),
-		valueCol("pingpongs_mean", "", pp),
-		valueCol("interrupt_mean", "ms", intr),
-		valueCol("loss", "%", loss),
-		valueCol("no_handover", "%", noHO),
-	}}
+// pctOf returns the named rate of c as a percentage.
+func pctOf(c *campaign.CellResult, name string) float64 {
+	r := c.Rate(name)
+	return r.Percent()
 }
 
-// HysteresisTable is the typed form of the adjacent-switch ablation.
-func HysteresisTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := HysteresisRows(cells, p.trials("hysteresis", DefaultHysteresisOpts().Trials))
-	n := len(rows)
-	trig := make([]float64, n)
-	sw, losses, mis, done := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		trig[i] = r.TriggerDB
-		sw[i], losses[i] = r.Switches.Mean(), r.Losses.Mean()
-		mis[i], done[i] = r.MisalignDeg.Mean(), r.HandoverOK.Percent()
-	}
-	return Table{Columns: []Column{
-		valueCol("trigger", "dB", trig),
-		valueCol("switches_mean", "", sw),
-		valueCol("losses_mean", "", losses),
-		valueCol("misalign_mean", "deg", mis),
-		valueCol("ho_done", "%", done),
-	}}
+// meanOf returns the mean of the named sample of c.
+func meanOf(c *campaign.CellResult, name string) float64 {
+	s := c.Sample(name)
+	return s.Mean()
 }
 
-// BaselineTable is the typed form of the strategy comparison.
-func BaselineTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := BaselineRows(cells, p.trials("baseline", DefaultBaselineOpts().Trials))
-	n := len(rows)
-	strat := make([]string, n)
-	done, hard, lat, intr := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	rec, loss, outage := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		strat[i] = r.Variant.String()
-		done[i], hard[i] = r.HandoverOK.Percent(), r.HardRate.Percent()
-		lat[i], intr[i] = r.LatencyMs.Median(), r.InterruptMs.Mean()
-		rec[i], loss[i] = r.RecoveryMs.Mean(), 100*r.LossRate.Mean()
-		outage[i] = r.OutageMs.Quantile(0.9)
+// hardShare returns the fraction of c's completed handovers that
+// degenerated into hard ones (0 with no handovers): total hard events
+// over total completed handovers, from the per-UE counts.
+func hardShare(c *campaign.CellResult) float64 {
+	var hard, done float64
+	for _, t := range c.Trials {
+		for _, v := range t["hard_handovers"] {
+			hard += v
+		}
+		for _, v := range t["handovers"] {
+			done += v
+		}
 	}
-	return Table{Columns: []Column{
-		labelCol("strategy", strat),
-		valueCol("ho_done", "%", done),
-		valueCol("hard", "%", hard),
-		valueCol("latency_p50", "ms", lat),
-		valueCol("interrupt_mean", "ms", intr),
-		valueCol("recovery_mean", "ms", rec),
-		valueCol("loss", "%", loss),
-		valueCol("outage_p90", "ms", outage),
-	}}
-}
-
-// PatternsTable is the typed form of the beam-pattern-model ablation.
-func PatternsTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := PatternRows(cells, p.trials("patterns", DefaultPatternOpts().Trials))
-	n := len(rows)
-	model := make([]string, n)
-	succ, dwells, done, lat := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		model[i] = r.Model
-		succ[i], dwells[i] = r.Success.Percent(), r.Dwells.Mean()
-		done[i], lat[i] = r.HandoverOK.Percent(), r.LatencyMs.Median()
+	if done == 0 {
+		return 0
 	}
-	return Table{Columns: []Column{
-		labelCol("model", model),
-		valueCol("success", "%", succ),
-		valueCol("dwells_mean", "dwells", dwells),
-		valueCol("ho_done", "%", done),
-		valueCol("latency_p50", "ms", lat),
-	}}
-}
-
-// CodebookTable is the typed form of the codebook-size sweep.
-func CodebookTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := CodebookRows(cells)
-	n := len(rows)
-	beams, hpbw := make([]float64, n), make([]float64, n)
-	succ, d50, msP50, msMax, full := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, r := range rows {
-		beams[i], hpbw[i] = float64(r.Beams), r.HPBWDeg
-		succ[i], d50[i] = r.Success.Percent(), r.Dwells.Median()
-		msP50[i], msMax[i], full[i] = r.MsP50, r.MsMax, r.FullMs
-	}
-	return Table{Columns: []Column{
-		valueCol("beams", "", beams),
-		valueCol("hpbw", "deg", hpbw),
-		valueCol("success", "%", succ),
-		valueCol("dwells_p50", "dwells", d50),
-		valueCol("latency_p50", "ms", msP50),
-		valueCol("latency_max", "ms", msMax),
-		valueCol("full_scan", "ms", full),
-	}}
-}
-
-// UrbanTable is the typed form of the handover-storm table.
-func UrbanTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := UrbanRows(cells, p.trials("urban", DefaultUrbanOpts().Trials))
-	n := len(rows)
-	ues := make([]float64, n)
-	done, storm, p90, hard, nbr := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range rows {
-		r := &rows[i]
-		ues[i] = float64(r.UEs)
-		done[i], storm[i] = r.HandoverOK.Percent(), r.StormRate()
-		p90[i], hard[i] = r.Handovers.Quantile(0.9), 100*r.HardShare()
-		nbr[i] = 100 * r.NeighborShare.Mean()
-	}
-	return Table{Columns: []Column{
-		valueCol("ues", "", ues),
-		valueCol("ho_done", "%", done),
-		valueCol("ho_per_ue_min", "1/min", storm),
-		valueCol("ho_p90", "", p90),
-		valueCol("hard_share", "%", hard),
-		valueCol("nbr_occupancy", "%", nbr),
-	}}
-}
-
-// HighwayTable is the typed form of the alignment-hold table.
-func HighwayTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := HighwayRows(cells, p.trials("highway", DefaultHighwayOpts().Trials))
-	n := len(rows)
-	speed := make([]float64, n)
-	h50, h90, aligned, done, hard := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range rows {
-		r := &rows[i]
-		speed[i] = r.SpeedMps
-		h50[i], h90[i] = r.HoldMs.Median(), r.HoldMs.Quantile(0.9)
-		aligned[i], done[i] = r.Aligned.Percent(), r.HandoverOK.Percent()
-		hard[i] = 100 * r.HardShare()
-	}
-	return Table{Columns: []Column{
-		valueCol("speed", "m/s", speed),
-		valueCol("hold_p50", "ms", h50),
-		valueCol("hold_p90", "ms", h90),
-		valueCol("aligned", "%", aligned),
-		valueCol("ho_done", "%", done),
-		valueCol("hard_share", "%", hard),
-	}}
-}
-
-// HotspotTable is the typed form of the blockage-survival table.
-func HotspotTable(cells []campaign.CellResult, p CampaignParams) Table {
-	rows := HotspotRows(cells, p.trials("hotspot", DefaultHotspotOpts().Trials))
-	n := len(rows)
-	density := make([]float64, n)
-	track, losses, done, hard := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range rows {
-		r := &rows[i]
-		density[i] = r.Density
-		track[i], losses[i] = r.TrackOK.Percent(), r.LossesPerUE.Mean()
-		done[i], hard[i] = r.HandoverOK.Percent(), 100*r.HardShare()
-	}
-	return Table{Columns: []Column{
-		valueCol("density", "", density),
-		valueCol("track_ok", "%", track),
-		valueCol("losses_per_ue", "", losses),
-		valueCol("ho_done", "%", done),
-		valueCol("hard_share", "%", hard),
-	}}
+	return hard / done
 }

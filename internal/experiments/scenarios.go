@@ -1,7 +1,10 @@
-// Package experiments contains the scenario builders and runners that
-// regenerate every table and figure of the paper's evaluation, plus
-// the ablations DESIGN.md calls out. Each runner returns plain row
-// structs; cmd/stbench and bench_test.go format them.
+// Package experiments is the registry of every experiment that
+// regenerates a table or figure of the paper's evaluation, plus the
+// ablations and scenario families DESIGN.md calls out, along with the
+// scenario builders they share. Each experiment is one CampaignDef:
+// its campaign spec, the fold of its cells into a typed Table, and the
+// text layout that formats that Table. The public st package runs and
+// renders them.
 package experiments
 
 import (
@@ -36,9 +39,6 @@ func (s Scenario) String() string {
 		return "Vehicular"
 	}
 }
-
-// AllScenarios lists them in the paper's order.
-func AllScenarios() []Scenario { return []Scenario{Walk, Rotation, Vehicular} }
 
 // ScenarioNamed parses a Scenario from its String form (campaign axis
 // values are symbolic).

@@ -6,61 +6,21 @@ import (
 	"silenttracker/internal/campaign"
 )
 
-// CampaignParams are the cross-experiment knobs the stcampaign CLI
-// exposes. Zero values select each experiment's full-fidelity
-// defaults; Quick substitutes the smoke-run trial counts (the same
-// reductions stbench -quick applies). Because trial seeds depend only
-// on (spec, trial index), a quick run's units are a prefix of the
-// full run's — a full sweep after a quick one computes just the
-// delta.
+// CampaignParams are the cross-experiment knobs the CLIs expose. Zero
+// values select each experiment's full-fidelity defaults; Quick
+// substitutes the smoke-run trial count. Because trial seeds depend
+// only on (spec, trial index), a quick run's units are a prefix of the
+// full run's — a full sweep after a quick one computes just the delta.
 type CampaignParams struct {
 	Quick  bool
 	Seed   int64 // 0 = per-experiment default
 	Trials int   // 0 = default (after the Quick reduction)
 }
 
-// quickTrials is the single source of the smoke-run trial counts,
-// keyed by campaign name; stbench's -quick uses the same numbers via
-// QuickTrials.
-var quickTrials = map[string]int{
-	"fig2a":      25,
-	"fig2c":      20,
-	"mobility":   10,
-	"threshold":  6,
-	"hysteresis": 6,
-	"baseline":   6,
-	"patterns":   8,
-	"codebook":   8,
-	"urban":      2,
-	"highway":    3,
-	"hotspot":    3,
-}
-
-// QuickTrials returns the -quick trial count for the named campaign.
-func QuickTrials(name string) int {
-	n, ok := quickTrials[name]
-	if !ok {
-		panic("experiments: no quick trial count for " + name)
-	}
-	return n
-}
-
-func (p CampaignParams) trials(name string, full int) int {
-	if p.Trials > 0 {
-		return p.Trials
-	}
-	if p.Quick {
-		return QuickTrials(name)
-	}
-	return full
-}
-
-// CampaignDef names one registered campaign and builds its spec.
-// Beyond Build (the sweep itself), a def carries everything a
-// presentation layer needs: the stbench-era alias and banner title,
-// the typed Table fold (results.go), and — where the experiment has a
-// raw-sample form — a CSV renderer. The st package is the public face
-// of this registry; the CLIs are shells over st.
+// CampaignDef is one registered experiment, declared once: its names,
+// its full-fidelity sweep, the fold of its cells into the typed Table,
+// and the text layout that formats that Table. The st package is the
+// public face of this registry; the CLIs are shells over st.
 type CampaignDef struct {
 	Name string
 	// Alias is the stbench-era experiment name ("" when identical to
@@ -68,20 +28,37 @@ type CampaignDef struct {
 	Alias string
 	// Title is the banner headline stbench prints above the table.
 	Title string
-	Build func(p CampaignParams) *campaign.Spec
-	// Table folds cells into the experiment's typed summary table.
-	Table func(cells []campaign.CellResult, p CampaignParams) Table
+	// Quick is the smoke-run trial count per cell, the one
+	// CampaignParams.Quick selects.
+	Quick int
+	// Spec returns a fresh full-fidelity spec; its literal carries
+	// every default (axis values, trials, seed schedule, and the knob
+	// constants its Config names).
+	Spec func() *campaign.Spec
+	// Table folds cells into the experiment's typed summary. It is the
+	// only fold: Text formats its result.
+	Table func(cells []campaign.CellResult) Table
+	// Text writes the experiment's text table from its Table.
+	Text func(w io.Writer, t *Table)
 	// CSV writes the experiment's raw samples as CSV (nil when the
 	// experiment has no CSV form).
-	CSV func(w io.Writer, cells []campaign.CellResult, p CampaignParams)
+	CSV func(w io.Writer, cells []campaign.CellResult)
 }
 
-// BenchName returns the stbench-era name (the alias when set).
-func (d *CampaignDef) BenchName() string {
-	if d.Alias != "" {
-		return d.Alias
+// Build returns the def's spec at p: the full-fidelity spec with the
+// trial count and seed overridden where p sets them.
+func (d *CampaignDef) Build(p CampaignParams) *campaign.Spec {
+	s := d.Spec()
+	switch {
+	case p.Trials > 0:
+		s.Trials = p.Trials
+	case p.Quick:
+		s.Trials = d.Quick
 	}
-	return d.Name
+	if p.Seed != 0 {
+		s.Seed = p.Seed
+	}
+	return s
 }
 
 // CampaignNamed returns the registered campaign with the given
@@ -97,169 +74,13 @@ func CampaignNamed(name string) (CampaignDef, bool) {
 
 // Campaigns returns every registered campaign — the eight paper
 // experiments plus the three scenario-generated families (urban,
-// highway, hotspot) — in stbench's canonical order.
-//
-// This registry is the canonical execution path: the public st
-// package (and through it both CLIs) runs experiments exclusively via
-// these defs. The per-experiment Run* wrappers (RunFig2a … RunHotspot)
-// are the internal convenience form of the same specs — thin
-// Collect+fold shorthands kept for this package's tests and the root
-// benchmarks; they share the spec builders and row folds with the
-// defs, so they cannot drift from what the registry runs.
+// highway, hotspot) — in stbench's canonical order. This registry is
+// the only execution path: the public st package (and through it
+// every CLI, the daemon and the benchmarks) runs experiments through
+// these defs.
 func Campaigns() []CampaignDef {
 	return []CampaignDef{
-		{
-			Name:  "fig2a",
-			Title: "Figure 2a — directional search under mobility",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultFig2aOpts()
-				opts.Trials = p.trials("fig2a", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return Fig2aCampaign(opts)
-			},
-			Table: Fig2aTable,
-			CSV: func(w io.Writer, cells []campaign.CellResult, p CampaignParams) {
-				WriteFig2aCSV(w, Fig2aRows(cells, p.trials("fig2a", DefaultFig2aOpts().Trials)))
-			},
-		},
-		{
-			Name:  "fig2c",
-			Title: "Figure 2c — soft handover completion time CDF",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultFig2cOpts()
-				opts.Trials = p.trials("fig2c", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return Fig2cCampaign(opts)
-			},
-			Table: Fig2cTable,
-			CSV: func(w io.Writer, cells []campaign.CellResult, p CampaignParams) {
-				WriteFig2cCSV(w, Fig2cSeriesOf(cells, p.trials("fig2c", DefaultFig2cOpts().Trials)))
-			},
-		},
-		{
-			Name:  "mobility",
-			Title: "Alignment held until handover conclusion (§3 claim)",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultMobilityOpts()
-				opts.Trials = p.trials("mobility", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return MobilityCampaign(opts)
-			},
-			Table: MobilityTable,
-		},
-		{
-			Name:  "threshold",
-			Alias: "ablation-threshold",
-			Title: "Ablation — handover margin T",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultThresholdOpts()
-				opts.Trials = p.trials("threshold", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return ThresholdCampaign(opts)
-			},
-			Table: ThresholdTable,
-		},
-		{
-			Name:  "hysteresis",
-			Alias: "ablation-hysteresis",
-			Title: "Ablation — adjacent-switch trigger (3 dB rule)",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultHysteresisOpts()
-				opts.Trials = p.trials("hysteresis", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return HysteresisCampaign(opts)
-			},
-			Table: HysteresisTable,
-		},
-		{
-			Name:  "baseline",
-			Title: "Baseline comparison — soft vs reactive vs genie",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultBaselineOpts()
-				opts.Trials = p.trials("baseline", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return BaselineCampaign(opts)
-			},
-			Table: BaselineTable,
-		},
-		{
-			Name:  "patterns",
-			Alias: "ablation-pattern",
-			Title: "Ablation — beam pattern model (Gaussian vs ULA)",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultPatternOpts()
-				opts.Trials = p.trials("patterns", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return PatternsCampaign(opts)
-			},
-			Table: PatternsTable,
-		},
-		{
-			Name:  "codebook",
-			Alias: "ablation-codebook",
-			Title: "Codebook-size sweep — where 1.28 s comes from",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultCodebookOpts()
-				opts.Trials = p.trials("codebook", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return CodebookCampaign(opts)
-			},
-			Table: CodebookTable,
-		},
-		{
-			Name:  "urban",
-			Title: "Urban hex grid — handover storms under a mixed fleet",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultUrbanOpts()
-				opts.Trials = p.trials("urban", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return UrbanCampaign(opts)
-			},
-			Table: UrbanTable,
-		},
-		{
-			Name:  "highway",
-			Title: "Highway corridor — alignment hold duration vs speed",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultHighwayOpts()
-				opts.Trials = p.trials("highway", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return HighwayCampaign(opts)
-			},
-			Table: HighwayTable,
-		},
-		{
-			Name:  "hotspot",
-			Title: "Hotspot ring — silent tracking under a blocker field",
-			Build: func(p CampaignParams) *campaign.Spec {
-				opts := DefaultHotspotOpts()
-				opts.Trials = p.trials("hotspot", opts.Trials)
-				if p.Seed != 0 {
-					opts.Seed = p.Seed
-				}
-				return HotspotCampaign(opts)
-			},
-			Table: HotspotTable,
-		},
+		fig2aDef, fig2cDef, mobilityDef, thresholdDef, hysteresisDef,
+		baselineDef, patternsDef, codebookDef, urbanDef, highwayDef, hotspotDef,
 	}
 }

@@ -1,19 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"silenttracker/internal/campaign"
 )
 
-// renderSpec runs the spec through the engine and renders its table.
-func renderSpec(t *testing.T, eng *campaign.Engine, spec *campaign.Spec) (string, campaign.RunStats) {
+// renderSpec runs the def's spec through the engine and renders its
+// table.
+func renderSpec(t *testing.T, eng *campaign.Engine, def CampaignDef, spec *campaign.Spec) (string, campaign.RunStats) {
 	t.Helper()
 	cells, stats := eng.Run(spec)
-	var buf bytes.Buffer
-	spec.Render(&buf, cells)
-	return buf.String(), stats
+	return render(def, cells), stats
 }
 
 // TestCampaignRegistryCoversAllExperiments is the `stcampaign list`
@@ -35,8 +33,11 @@ func TestCampaignRegistryCoversAllExperiments(t *testing.T) {
 		if spec.Name != def.Name {
 			t.Errorf("spec name %q under registry name %q", spec.Name, def.Name)
 		}
-		if spec.Trials <= 0 || len(spec.Axes) == 0 || spec.Trial == nil || spec.Render == nil {
-			t.Errorf("%s: incomplete spec", def.Name)
+		if spec.Trials != def.Quick || def.Spec().Trials <= def.Quick {
+			t.Errorf("%s: quick trials %d, full %d", def.Name, spec.Trials, def.Spec().Trials)
+		}
+		if len(spec.Axes) == 0 || spec.Trial == nil || def.Table == nil || def.Text == nil {
+			t.Errorf("%s: incomplete def", def.Name)
 		}
 		if spec.Epoch == "" {
 			t.Errorf("%s: no cache epoch", def.Name)
@@ -63,18 +64,18 @@ func TestCampaignColdWarmByteIdentical(t *testing.T) {
 			}
 			spec := def.Build(CampaignParams{Quick: true, Trials: 3})
 
-			cold, cs := renderSpec(t, &campaign.Engine{Store: cache, Workers: 8}, spec)
+			cold, cs := renderSpec(t, &campaign.Engine{Store: cache, Workers: 8}, def, spec)
 			if cs.Computed != spec.Units() || cs.Cached != 0 {
 				t.Fatalf("cold run: %v, want %d computed", cs, spec.Units())
 			}
-			warm, ws := renderSpec(t, &campaign.Engine{Store: cache, Workers: 1}, spec)
+			warm, ws := renderSpec(t, &campaign.Engine{Store: cache, Workers: 1}, def, spec)
 			if ws.Computed != 0 || ws.Cached != spec.Units() {
 				t.Fatalf("warm run not fully cached: %v", ws)
 			}
 			if cold != warm {
 				t.Errorf("cold (j8) and warm (j1) output differ:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
 			}
-			uncached, _ := renderSpec(t, &campaign.Engine{Workers: 4}, spec)
+			uncached, _ := renderSpec(t, &campaign.Engine{Workers: 4}, def, spec)
 			if uncached != cold {
 				t.Errorf("cacheless run differs from cold run")
 			}
@@ -96,12 +97,8 @@ func TestCampaignCacheInvalidation(t *testing.T) {
 	}
 	eng := &campaign.Engine{Store: cache, Workers: 8}
 	build := func(p CampaignParams) *campaign.Spec {
-		opts := DefaultThresholdOpts()
-		opts.Trials = 2
-		if p.Seed != 0 {
-			opts.Seed = p.Seed
-		}
-		return ThresholdCampaign(opts)
+		p.Trials = 2
+		return thresholdDef.Build(p)
 	}
 
 	base := build(CampaignParams{})
@@ -149,16 +146,17 @@ func TestCampaignQuickIsPrefixOfFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &campaign.Engine{Store: cache, Workers: 8}
-	opts := DefaultCodebookOpts()
-	opts.Sizes = []int{6, 18}
+	build := func(trials int) *campaign.Spec {
+		spec := codebookDef.Build(CampaignParams{Trials: trials})
+		spec.Axes[0].Values = []string{"6", "18"}
+		return spec
+	}
 
-	opts.Trials = 2
-	quick := CodebookCampaign(opts)
+	quick := build(2)
 	if _, st := eng.Run(quick); st.Computed != quick.Units() {
 		t.Fatalf("quick run: %v", st)
 	}
-	opts.Trials = 5
-	full := CodebookCampaign(opts)
+	full := build(5)
 	if _, st := eng.Run(full); st.Cached != quick.Units() || st.Computed != full.Units()-quick.Units() {
 		t.Errorf("full run after quick: %v, want %d cached %d computed",
 			st, quick.Units(), full.Units()-quick.Units())

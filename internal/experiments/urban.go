@@ -2,80 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"silenttracker/internal/campaign"
 	"silenttracker/internal/geom"
 	"silenttracker/internal/scenario"
 	"silenttracker/internal/sim"
-	"silenttracker/internal/stats"
 )
-
-// UrbanRow summarises one fleet size of the urban family: a hex-grid
-// deployment with a mixed pedestrian/rotation/vehicular fleet, the
-// dense-deployment regime where handover storms happen and silent
-// neighbor alignment matters most.
-type UrbanRow struct {
-	UEs    int
-	Trials int
-
-	// Handovers is the per-UE completed-handover count distribution.
-	Handovers stats.Sample
-	// HandoverOK: UEs that completed at least one handover.
-	HandoverOK stats.Rate
-	// HardHandovers is the per-UE hard-handover count distribution;
-	// hard events are a subset of completed handovers (the serving
-	// link died before the soft path finished).
-	HardHandovers stats.Sample
-	// NeighborShare: per-UE fraction of measurement occasions spent on
-	// neighbor cells (the "minimal resource usage" claim at scale).
-	NeighborShare stats.Sample
-	// HorizonS is the trial horizon, for the storm-rate column.
-	HorizonS float64
-}
-
-// StormRate returns completed handovers per UE per minute.
-func (r *UrbanRow) StormRate() float64 {
-	if r.HorizonS == 0 {
-		return 0
-	}
-	return r.Handovers.Mean() * 60 / r.HorizonS
-}
-
-// HardShare returns the fraction of completed handovers that
-// degenerated into hard ones (0 with no handovers).
-func (r *UrbanRow) HardShare() float64 {
-	return hardShare(&r.HardHandovers, &r.Handovers)
-}
-
-// hardShare divides total hard events by total completed handovers.
-func hardShare(hard, done *stats.Sample) float64 {
-	var h, d float64
-	for _, v := range hard.Raw() {
-		h += v
-	}
-	for _, v := range done.Raw() {
-		d += v
-	}
-	if d == 0 {
-		return 0
-	}
-	return h / d
-}
-
-// UrbanOpts configures the urban family.
-type UrbanOpts struct {
-	Trials  int
-	Seed    int64
-	Workers int
-	// UEs are the fleet sizes swept.
-	UEs []int
-}
-
-// DefaultUrbanOpts returns the full-fidelity settings.
-func DefaultUrbanOpts() UrbanOpts {
-	return UrbanOpts{Trials: 12, Seed: 9000, UEs: []int{20, 60, 100}}
-}
 
 // urbanHorizon is the trial window; long enough for walkers crossing
 // a sector boundary of the 20 m grid to complete a handover.
@@ -101,31 +33,52 @@ func urbanSpec(ues int) scenario.Spec {
 	}
 }
 
-// UrbanCampaign declares the urban family as a campaign spec with the
-// fleet size as the sweep axis.
-func UrbanCampaign(opts UrbanOpts) *campaign.Spec {
-	values := make([]string, len(opts.UEs))
-	for i, n := range opts.UEs {
-		values[i] = fmt.Sprintf("%d", n)
-	}
-	return &campaign.Spec{
-		Name:        "urban",
-		Description: "hex-grid fleet sweep: handover storms under mixed urban mobility",
-		Axes: []campaign.Axis{
-			{Name: "ues", Values: values},
-		},
-		Trials:     opts.Trials,
-		Seed:       opts.Seed,
-		SeedStride: 31337,
-		Epoch:      "urban/v1",
-		Config:     urbanSpec(1).Fingerprint(),
-		Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
-			return urbanTrial(cell.Int("ues"), seed)
-		},
-		Render: func(w io.Writer, cells []campaign.CellResult) {
-			WriteUrban(w, UrbanRows(cells, opts.Trials))
-		},
-	}
+// urbanDef is the urban family: a hex-grid deployment with a mixed
+// pedestrian/rotation/vehicular fleet — the dense-deployment regime
+// where handover storms happen and silent neighbor alignment matters
+// most — swept over the fleet size. Per UE it counts completed and
+// hard handovers (hard events are a subset: the serving link died
+// before the soft path finished) and the share of measurement
+// occasions spent on neighbor cells (the "minimal resource usage"
+// claim at scale).
+var urbanDef = CampaignDef{
+	Name:  "urban",
+	Title: "Urban hex grid — handover storms under a mixed fleet",
+	Quick: 2,
+	Spec: func() *campaign.Spec {
+		return &campaign.Spec{
+			Name:        "urban",
+			Description: "hex-grid fleet sweep: handover storms under mixed urban mobility",
+			Axes: []campaign.Axis{
+				{Name: "ues", Values: []string{"20", "60", "100"}},
+			},
+			Trials:     12,
+			Seed:       9000,
+			SeedStride: 31337,
+			Epoch:      "urban/v1",
+			Config:     urbanSpec(1).Fingerprint(),
+			Trial: func(cell campaign.Cell, seed int64) campaign.Metrics {
+				return urbanTrial(cell.Int("ues"), seed)
+			},
+		}
+	},
+	Table: func(cells []campaign.CellResult) Table {
+		return foldRows(cells, []Column{
+			{Name: "ues"}, {Name: "ho_done", Unit: "%"}, {Name: "ho_per_ue_min", Unit: "1/min"},
+			{Name: "ho_p90"}, {Name: "hard_share", Unit: "%"}, {Name: "nbr_occupancy", Unit: "%"},
+		}, func(c *campaign.CellResult) []any {
+			ho := c.Sample("handovers")
+			// The mean reads the counts in trial order, before the
+			// quantile sorts them.
+			storm := ho.Mean() * 60 / urbanHorizon.Seconds()
+			return []any{c.Cell.Float("ues"), pctOf(c, "ho_ok"), storm, ho.Quantile(0.9),
+				100 * hardShare(c), 100 * meanOf(c, "neighbor_share")}
+		})
+	},
+	Text: textRows("Urban hex grid (7 cells) — handover storms under a mixed fleet\n"+
+		fmt.Sprintf("%-6s %10s %12s %10s %10s %14s\n",
+			"UEs", "HO done", "HO/UE/min", "HO p90", "hard/HO", "nbr occupancy"),
+		"%-6.0f %9.1f%% %12.2f %10.1f %9.1f%% %13.1f%%\n"),
 }
 
 // urbanTrial compiles and runs one fleet; each UE contributes one
@@ -145,40 +98,4 @@ func urbanTrial(ues int, seed int64) campaign.Metrics {
 		}
 	}
 	return m
-}
-
-// UrbanRows folds campaign cells back into rows.
-func UrbanRows(cells []campaign.CellResult, trials int) []UrbanRow {
-	out := make([]UrbanRow, 0, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		out = append(out, UrbanRow{
-			UEs:           c.Cell.Int("ues"),
-			Trials:        trials,
-			Handovers:     c.Sample("handovers"),
-			HandoverOK:    c.Rate("ho_ok"),
-			HardHandovers: c.Sample("hard_handovers"),
-			NeighborShare: c.Sample("neighbor_share"),
-			HorizonS:      urbanHorizon.Seconds(),
-		})
-	}
-	return out
-}
-
-// WriteUrban renders the handover-storm table.
-func WriteUrban(w io.Writer, rows []UrbanRow) {
-	fmt.Fprintln(w, "Urban hex grid (7 cells) — handover storms under a mixed fleet")
-	fmt.Fprintf(w, "%-6s %10s %12s %10s %10s %14s\n",
-		"UEs", "HO done", "HO/UE/min", "HO p90", "hard/HO", "nbr occupancy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %9.1f%% %12.2f %10.1f %9.1f%% %13.1f%%\n",
-			r.UEs, r.HandoverOK.Percent(), r.StormRate(),
-			r.Handovers.Quantile(0.9), 100*r.HardShare(),
-			100*r.NeighborShare.Mean())
-	}
-}
-
-// RunUrban regenerates the urban table.
-func RunUrban(opts UrbanOpts) []UrbanRow {
-	return UrbanRows(campaign.Collect(UrbanCampaign(opts), opts.Workers), opts.Trials)
 }

@@ -465,7 +465,6 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, &CancelledError{Stats: publicStats(stats), Err: err}
 	}
-	params := experiments.CampaignParams{Quick: s.cfg.quick, Seed: s.spec.Seed, Trials: s.spec.Trials}
 	res := &Result{
 		Campaign:    s.def.Name,
 		Title:       s.def.Title,
@@ -474,7 +473,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		Seed:        s.spec.Seed,
 		Trials:      s.spec.Trials,
 		Cells:       publicCells(cells),
-		Table:       publicTable(s.def.Table(cells, params)),
+		Table:       publicTable(s.def.Table(cells)),
 		Stats:       publicStats(stats),
 	}
 	if s.obs != nil {

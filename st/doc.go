@@ -86,7 +86,8 @@
 // RenderCampaignText and RenderJSON reproduce the stcampaign text and
 // JSON wire format, byte for byte. Rendering is a pure function of the
 // Result value, so a Result that has round-tripped through JSON still
-// renders identically.
+// renders identically. The text tables format Result.Table alone:
+// every number they print is a column of the typed Table.
 //
 // # Cancellation and progress
 //

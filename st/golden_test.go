@@ -185,7 +185,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 // TestRenderListGolden and TestRenderDescriptionGolden pin the listing
-// and describe forms to the pre-API stcampaign bytes.
+// and describe forms to the pre-API stcampaign bytes. The describe
+// goldens pin every experiment's cache identity — epoch, config, seed
+// schedule, axes, and unit keys — at full and quick trial counts.
 func TestRenderListGolden(t *testing.T) {
 	client, err := st.NewClient()
 	if err != nil {
@@ -203,7 +205,8 @@ func TestRenderDescriptionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig2a", "urban"} {
+	for _, n := range goldenNames {
+		name := n.name
 		for _, quick := range []bool{false, true} {
 			d, err := client.Describe(name, func() st.Option {
 				if quick {

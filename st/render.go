@@ -4,16 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"silenttracker/internal/experiments"
 )
 
-// renderSpec rebuilds the exact spec that produced a Result, so the
-// registry's table renderer (a closure over the experiment's options)
-// can be reapplied to the Result's cells. The registry lookup fails
+// lookup returns the registered experiment a Result names. It fails
 // only for a Result whose Campaign names no registered experiment —
 // e.g. one deserialised from a newer writer.
-func renderSpec(r *Result) (experiments.CampaignDef, error) {
+func lookup(r *Result) (experiments.CampaignDef, error) {
 	def, ok := experiments.CampaignNamed(r.Campaign)
 	if !ok {
 		return experiments.CampaignDef{}, fmt.Errorf("st: result for %q: %w", r.Campaign, ErrUnknownExperiment)
@@ -21,16 +20,44 @@ func renderSpec(r *Result) (experiments.CampaignDef, error) {
 	return def, nil
 }
 
+// textTable returns r.Table in the form def's text layout takes, after
+// checking it has def's columns in order, each with one entry per
+// row: a Result deserialised from elsewhere need not, and the layout
+// indexes columns and rows directly. def.Table(nil) is the
+// experiment's column schema with no rows.
+func textTable(def experiments.CampaignDef, r *Result) (*experiments.Table, error) {
+	want := def.Table(nil).Columns
+	ok := len(r.Table.Columns) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		c := r.Table.Columns[i]
+		ok = c.Name == want[i].Name && (c.Labels == nil || c.Values == nil) &&
+			len(c.Labels)+len(c.Values) == r.Table.Rows()
+	}
+	if !ok {
+		return nil, fmt.Errorf("st: result for %q: table does not have the experiment's columns", r.Campaign)
+	}
+	return internalTable(r.Table), nil
+}
+
 // RenderText writes the result as stbench prints it: the banner
-// headline followed by the experiment's text table. The bytes are
-// identical to `stbench -exp <name>` at the same parameters.
+// headline followed by the experiment's text table, formatted from
+// r.Table alone. The bytes are identical to `stbench -exp <name>` at
+// the same parameters.
 func RenderText(w io.Writer, r *Result) error {
-	def, err := renderSpec(r)
+	def, err := lookup(r)
 	if err != nil {
 		return err
 	}
-	experiments.Banner(w, def.Title)
-	def.Build(r.params()).Render(w, campaignCells(r.Cells))
+	t, err := textTable(def, r)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, strings.Repeat("=", len(def.Title)+4))
+	fmt.Fprintf(w, "  %s\n", def.Title)
+	fmt.Fprintln(w, strings.Repeat("=", len(def.Title)+4))
+	fmt.Fprintln(w)
+	def.Text(w, t)
 	return nil
 }
 
@@ -38,12 +65,16 @@ func RenderText(w io.Writer, r *Result) error {
 // `== campaign <name> ==` banner followed by the same text table. The
 // bytes are identical to `stcampaign run` at the same parameters.
 func RenderCampaignText(w io.Writer, r *Result) error {
-	def, err := renderSpec(r)
+	def, err := lookup(r)
+	if err != nil {
+		return err
+	}
+	t, err := textTable(def, r)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n== campaign %s ==\n\n", r.Campaign)
-	def.Build(r.params()).Render(w, campaignCells(r.Cells))
+	def.Text(w, t)
 	return nil
 }
 
@@ -54,17 +85,18 @@ func (r *Result) HasCSV() bool {
 	return ok && def.CSV != nil
 }
 
-// RenderCSV writes the result's raw samples as CSV — the stbench -csv
-// form. It fails for experiments without a CSV form (see HasCSV).
+// RenderCSV writes the result's raw samples (from r.Cells) as CSV —
+// the stbench -csv form. It fails for experiments without a CSV form
+// (see HasCSV).
 func RenderCSV(w io.Writer, r *Result) error {
-	def, err := renderSpec(r)
+	def, err := lookup(r)
 	if err != nil {
 		return err
 	}
 	if def.CSV == nil {
 		return fmt.Errorf("st: %s has no CSV form", r.Campaign)
 	}
-	def.CSV(w, campaignCells(r.Cells), r.params())
+	def.CSV(w, campaignCells(r.Cells))
 	return nil
 }
 

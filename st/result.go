@@ -126,14 +126,15 @@ type Result struct {
 	Description string `json:"description"`
 
 	// Quick, Seed, Trials record the effective run parameters — enough
-	// to reproduce the run and to rebuild the exact table renderer.
+	// to reproduce the run.
 	Quick  bool  `json:"quick,omitempty"`
 	Seed   int64 `json:"seed"`
 	Trials int   `json:"trials"`
 
 	// Cells carry the raw per-cell, per-trial metrics in fold order.
 	Cells []CellResult `json:"cells"`
-	// Table is the experiment's typed summary derived from Cells.
+	// Table is the experiment's typed summary derived from Cells; the
+	// text renderers format it alone.
 	Table Table `json:"table"`
 	// Stats summarises the run (cache hits, units computed, wall clock).
 	Stats Stats `json:"stats"`
@@ -142,15 +143,6 @@ type Result struct {
 	// otherwise. Like Elapsed it is measurement, not results: two runs
 	// with identical Cells and Table may carry different Reports.
 	Report *Report `json:"report,omitempty"`
-}
-
-// params reconstructs the experiment parameters that produced this
-// result. Feeding the effective seed and trial count back through the
-// registry builder yields a spec identical to the one that ran, which
-// is what lets renderers reproduce the original table bytes from the
-// Result value alone.
-func (r *Result) params() experiments.CampaignParams {
-	return experiments.CampaignParams{Quick: r.Quick, Seed: r.Seed, Trials: r.Trials}
 }
 
 // ---- conversions between the public types and internal/campaign ----
@@ -198,9 +190,17 @@ func campaignCells(cells []CellResult) []campaign.CellResult {
 func publicTable(t experiments.Table) Table {
 	cols := make([]Column, len(t.Columns))
 	for i, c := range t.Columns {
-		cols[i] = Column{Name: c.Name, Unit: c.Unit, Labels: c.Labels, Values: c.Values}
+		cols[i] = Column(c)
 	}
 	return Table{Columns: cols}
+}
+
+func internalTable(t Table) *experiments.Table {
+	cols := make([]experiments.Column, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = experiments.Column(c)
+	}
+	return &experiments.Table{Columns: cols}
 }
 
 func publicStats(rs campaign.RunStats) Stats {

@@ -311,6 +311,30 @@ func TestRenderersRejectForeignResults(t *testing.T) {
 
 // TestRenderCSVUnsupported: experiments without a raw-sample form
 // return an error rather than guessing a format.
+// TestRenderTextRejectsMismatchedTable: the text renderers format
+// Result.Table alone, so a Result whose Table lacks its experiment's
+// columns (or has ragged ones) renders to an error, not a panic.
+func TestRenderTextRejectsMismatchedTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an experiment")
+	}
+	ragged := *quickResult(t, "fig2a")
+	ragged.Table.Columns = append([]st.Column(nil), ragged.Table.Columns...)
+	ragged.Table.Columns[3].Values = ragged.Table.Columns[3].Values[:1]
+	for _, r := range []*st.Result{{Campaign: "fig2c"}, &ragged} {
+		var buf strings.Builder
+		if err := st.RenderText(&buf, r); err == nil {
+			t.Errorf("RenderText(%s, %d columns) succeeded", r.Campaign, len(r.Table.Columns))
+		}
+		if err := st.RenderCampaignText(&buf, r); err == nil {
+			t.Errorf("RenderCampaignText(%s, %d columns) succeeded", r.Campaign, len(r.Table.Columns))
+		}
+		if buf.Len() != 0 {
+			t.Errorf("failed renderers wrote output: %q", buf.String())
+		}
+	}
+}
+
 func TestRenderCSVUnsupported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments")
