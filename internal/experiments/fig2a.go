@@ -82,7 +82,7 @@ var fig2aDef = CampaignDef{
 			if r[0] == Omni.String() {
 				continue // the paper plots latency for Narrow and Wide only
 			}
-			fmt.Fprintf(w, "%-8s %8.1f %8.1f %8.1f %8.0f %6.0f(%.0f)\n", append(r[:1], r[4:]...)...)
+			fmt.Fprintf(w, "%-8s %8.1f %8.1f %8.1f %8.0f %6.0f(%.0f)\n", r[0], r[4], r[5], r[6], r[7], r[8], r[9])
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "Fig. 2a (right) — Search success rate (%)")
