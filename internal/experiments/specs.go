@@ -76,8 +76,8 @@ func CampaignNamed(name string) (CampaignDef, bool) {
 // experiments plus the three scenario-generated families (urban,
 // highway, hotspot) — in stbench's canonical order. This registry is
 // the only execution path: the public st package (and through it
-// every CLI, the daemon and the benchmarks) runs experiments through
-// these defs.
+// every CLI and the daemon) and the root benchmarks run experiments
+// through these defs.
 func Campaigns() []CampaignDef {
 	return []CampaignDef{
 		fig2aDef, fig2cDef, mobilityDef, thresholdDef, hysteresisDef,
