@@ -154,6 +154,34 @@ func BenchmarkRunMobilityParallel(b *testing.B) { benchRun(b, "mobility", 8, 0) 
 func BenchmarkRunBaselineSerial(b *testing.B)   { benchRun(b, "baseline", 8, 1) }
 func BenchmarkRunBaselineParallel(b *testing.B) { benchRun(b, "baseline", 8, 0) }
 
+// --- Scenario families: one trial unit per op ------------------------
+//
+// One sub-benchmark per cell of the family's registry spec; an op is
+// that cell's trial 0 at the default seed, run through the spec's own
+// trial body — the unit a campaign computes and caches, with no engine
+// or store around it.
+
+func benchUnits(b *testing.B, name string) {
+	def, ok := experiments.CampaignNamed(name)
+	if !ok {
+		b.Fatalf("no registered experiment %q", name)
+	}
+	spec := def.Spec()
+	seed := spec.TrialSeed(0)
+	for _, cell := range spec.Cells() {
+		b.Run(cell.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec.Trial(cell, seed)
+			}
+		})
+	}
+}
+
+func BenchmarkUrbanUnit(b *testing.B)   { benchUnits(b, "urban") }
+func BenchmarkHighwayUnit(b *testing.B) { benchUnits(b, "highway") }
+func BenchmarkHotspotUnit(b *testing.B) { benchUnits(b, "hotspot") }
+
 // --- Result-store tiers ----------------------------------------------
 //
 // Get/Put micro-benchmarks per backend, plus warm engine re-runs that
