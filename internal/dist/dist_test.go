@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -65,13 +67,36 @@ func counterValue(reg *obs.Registry, name string) float64 {
 }
 
 // startDistribute runs Distribute in the background and returns a
-// channel carrying its error.
-func startDistribute(ctx context.Context, c *Coordinator, n int) <-chan error {
+// channel carrying its error once the coordinator lists the run, so a
+// lease the test posts next cannot beat the registration and come
+// back empty.
+func startDistribute(t *testing.T, ctx context.Context, c *Coordinator, n int) <-chan error {
+	t.Helper()
+	c.mu.Lock()
+	id := "run-" + strconv.FormatInt(c.seq+1, 10)
+	c.mu.Unlock()
 	done := make(chan error, 1)
 	go func() {
 		done <- c.Distribute(ctx, st.JobRequest{Experiment: "fake"}, fakeUnits(n))
 	}()
-	return done
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		_, listed := c.runs[id]
+		c.mu.Unlock()
+		if listed {
+			return done
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("Distribute returned %v before registering %s", err, id)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator did not list %s within 10s", id)
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestLeaseProtocol drives the happy path over real HTTP: a run's
@@ -82,7 +107,7 @@ func TestLeaseProtocol(t *testing.T) {
 	c := New(Config{LeaseBatch: 16, MaxInflight: 4, Obs: reg})
 	srv := coordServer(t, c)
 
-	done := startDistribute(context.Background(), c, 40)
+	done := startDistribute(t, context.Background(), c, 40)
 
 	leases := 0
 	for {
@@ -130,7 +155,7 @@ func TestBackpressure(t *testing.T) {
 	c := New(Config{LeaseBatch: 4, MaxInflight: 1, RetryAfter: 2 * time.Second})
 	srv := coordServer(t, c)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := startDistribute(ctx, c, 100)
+	done := startDistribute(t, ctx, c, 100)
 	defer func() { cancel(); <-done }() // the run never finishes; reap the waiter
 
 	var first st.LeaseGrant
@@ -166,7 +191,7 @@ func TestBackpressure(t *testing.T) {
 func TestDistributeCancellation(t *testing.T) {
 	c := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	done := startDistribute(ctx, c, 10)
+	done := startDistribute(t, ctx, c, 10)
 	cancel()
 	select {
 	case err := <-done:
@@ -192,7 +217,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	srv := coordServer(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	done := startDistribute(ctx, c, 8)
+	done := startDistribute(t, ctx, c, 8)
 
 	var dead st.LeaseGrant
 	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "doomed"}, &dead)
@@ -246,7 +271,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	srv := coordServer(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	done := startDistribute(ctx, c, 4)
+	done := startDistribute(t, ctx, c, 4)
 
 	var grant st.LeaseGrant
 	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "w1"}, &grant)
@@ -287,7 +312,7 @@ func TestWorkStealing(t *testing.T) {
 	srv := coordServer(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	done := startDistribute(ctx, c, 32)
+	done := startDistribute(t, ctx, c, 32)
 
 	var slow st.LeaseGrant
 	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "slow"}, &slow)
@@ -325,7 +350,7 @@ func TestReportedFailureRequeues(t *testing.T) {
 	srv := coordServer(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	done := startDistribute(ctx, c, 8)
+	done := startDistribute(t, ctx, c, 8)
 
 	var g1 st.LeaseGrant
 	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "w1"}, &g1)
@@ -503,7 +528,7 @@ func TestWorkerIdleExitReturns(t *testing.T) {
 func TestCompleteClampsReportedRanges(t *testing.T) {
 	c := New(Config{LeaseBatch: 64})
 	srv := coordServer(t, c)
-	done := startDistribute(context.Background(), c, 8)
+	done := startDistribute(t, context.Background(), c, 8)
 
 	var grant st.LeaseGrant
 	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "w1"}, &grant)
