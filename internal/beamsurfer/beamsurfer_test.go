@@ -1,6 +1,7 @@
 package beamsurfer
 
 import (
+	"math"
 	"testing"
 
 	"silenttracker/internal/antenna"
@@ -14,7 +15,7 @@ func row(rx antenna.BeamID, rss map[antenna.BeamID]float64) []phy.Measurement {
 	var out []phy.Measurement
 	for tx, v := range rss {
 		out = append(out, phy.Measurement{
-			TxBeam: tx, RxBeam: rx, RSSdBm: v, SINRdB: 20, Detected: true,
+			TxBeam: tx, RxBeam: rx, RSSdBm: v, SNRdB: 20, SIRdB: math.Inf(1), Detected: true,
 		})
 	}
 	return out

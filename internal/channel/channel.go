@@ -97,16 +97,26 @@ func (p Params) FSPLdB(d float64) float64 {
 
 // Shadowing is a time-correlated log-normal shadowing process
 // (first-order Gauss-Markov / Ornstein-Uhlenbeck in dB).
+//
+// A step of dt seconds needs the correlation pair ρ = exp(-dt/τ) and
+// sqrt(1-ρ²). The hot loop steps through a handful of distinct dt
+// values — the beacon slot and the gap between one burst listened to
+// and the next, each carrying its own float rounding of t - lastT —
+// so a small memo keyed on dt's exact value serves nearly every step.
 type Shadowing struct {
 	sigma float64
 	tau   float64
 	cur   float64
 	src   *rng.Source
-	// Memoised correlation coefficients for the last step size: the
-	// hot loop advances by a fixed beacon slot, so the exp/sqrt pair
-	// almost always comes from here instead of being recomputed.
-	memoDt, memoRho, memoSq float64
+	memo  [shadowMemo]shadowStep
+	next  int // memo slot the next miss overwrites
 }
+
+// shadowMemo is the number of step sizes a Shadowing remembers.
+const shadowMemo = 4
+
+// shadowStep is one memoised step size and its correlation pair.
+type shadowStep struct{ dt, rho, sq float64 }
 
 // NewShadowing constructs a shadowing process with the given std-dev
 // (dB) and decorrelation time constant (s), drawing from src.
@@ -122,12 +132,25 @@ func (s *Shadowing) Advance(dt float64) float64 {
 	if dt <= 0 {
 		return s.cur
 	}
-	if dt != s.memoDt {
-		rho := math.Exp(-dt / s.tau)
-		s.memoDt, s.memoRho, s.memoSq = dt, rho, math.Sqrt(1-rho*rho)
-	}
-	s.cur = s.memoRho*s.cur + s.memoSq*s.src.Normal(0, s.sigma)
+	st := s.step(dt)
+	s.cur = st.rho*s.cur + st.sq*s.src.Normal(0, s.sigma)
 	return s.cur
+}
+
+// step returns the correlation pair for dt, from the memo when dt
+// matches a remembered step exactly. Unused slots hold dt = 0, which
+// no positive step matches.
+func (s *Shadowing) step(dt float64) *shadowStep {
+	for i := range s.memo {
+		if s.memo[i].dt == dt {
+			return &s.memo[i]
+		}
+	}
+	st := &s.memo[s.next]
+	s.next = (s.next + 1) % shadowMemo
+	rho := math.Exp(-dt / s.tau)
+	*st = shadowStep{dt: dt, rho: rho, sq: math.Sqrt(1 - rho*rho)}
+	return st
 }
 
 // Value returns the current shadowing value in dB.
@@ -229,11 +252,57 @@ type Sample struct {
 	FadingDB  float64
 	Blocked   bool
 	BlockLoss float64
-	// SIRdB is the signal-to-(multipath-self-)interference ratio seen
-	// by the receiver; SINRdB combines it with thermal SNR and is what
-	// detection decisions use.
-	SIRdB  float64
-	SINRdB float64
+	// SNRdB is the thermal SNR (RSS over the noise floor) and SIRdB
+	// the signal-to-(multipath-self-)interference ratio seen by the
+	// receiver. Detection decisions run on their combination, the
+	// SINR, which the sample does not store: Decodes makes the
+	// decision from the pair and the SINRdB method computes the value.
+	SNRdB float64
+	SIRdB float64
+}
+
+// SINRdB returns the sample's SNR combined with its SIR.
+func (s Sample) SINRdB() float64 { return SINRdB(s.SNRdB, s.SIRdB) }
+
+// SINRdB combines a thermal SNR and a self-interference ratio (dB)
+// into the SINR: noise and interference powers add.
+func SINRdB(snrDB, sirDB float64) float64 {
+	return -mathx.LinToDB(mathx.DBToLin(-snrDB) + mathx.DBToLin(-sirDB))
+}
+
+// Bounds that decide SINR >= thr without the SINR. Since noise and
+// interference powers add, min(SNR, SIR) − 10·log10 2 ≤ SINR ≤
+// min(SNR, SIR): outside a band of that width above the threshold the
+// decision needs no transcendental at all.
+const (
+	log2dB = 10 * math.Ln2 / math.Ln10 // 10·log10 2: the most two equal powers add
+	// decodeSlack widens the band by far more than SINRdB's rounding
+	// error (~1e-13 dB within decodeRange), so a bound decision always
+	// agrees with the computed SINR.
+	decodeSlack = 1e-6
+	// decodeRange bounds where the rounding argument holds: with
+	// |min(SNR, SIR)| ≤ 300 dB the dominant power, 10^(-min/10), is a
+	// normal float far from overflow and underflow.
+	decodeRange = 300
+)
+
+// Decodes reports whether a transmission with the given SNR and SIR
+// (dB) decodes at threshold thr: exactly SINRdB(snrDB, sirDB) >= thr,
+// bit for bit, but evaluating the SINR only when min(SNR, SIR) lies
+// within the band [thr, thr + 10·log10 2] (widened by decodeSlack)
+// where the bounds cannot decide. NaN inputs (min propagates them)
+// and out-of-range values fail both bound tests and take the exact
+// path too.
+func Decodes(snrDB, sirDB, thr float64) bool {
+	if m := min(snrDB, sirDB); m >= -decodeRange && m <= decodeRange {
+		if m < thr-decodeSlack {
+			return false
+		}
+		if m >= thr+(log2dB+decodeSlack) {
+			return true
+		}
+	}
+	return SINRdB(snrDB, sirDB) >= thr
 }
 
 // Measure returns the RSS (dBm) for a transmission at absolute time t
@@ -294,9 +363,6 @@ func (l *Link) MeasureSel(t, d, txGainDBi, rxGainDBi, rxAvgGainDBi, selLin float
 	// the blocker, so the SIR collapses by the block loss too.
 	interf := l.P.TxPowerDBm + txGainDBi + rxAvgGainDBi -
 		pl - l.P.ReflLossDB + sh + sirFluct + l.fading.Normal(0, 1)
-	sir := rss - interf
-	snr := rss - l.noiseFloor
-	sinr := -mathx.LinToDB(mathx.DBToLin(-snr) + mathx.DBToLin(-sir))
 
 	return Sample{
 		RSSdBm:    rss,
@@ -305,8 +371,8 @@ func (l *Link) MeasureSel(t, d, txGainDBi, rxGainDBi, rxAvgGainDBi, selLin float
 		FadingDB:  fade,
 		Blocked:   blocked,
 		BlockLoss: blockLoss,
-		SIRdB:     sir,
-		SINRdB:    sinr,
+		SNRdB:     rss - l.noiseFloor,
+		SIRdB:     rss - interf,
 	}
 }
 

@@ -258,7 +258,7 @@ func TestOmniSelfInterferenceLimited(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		s := l.Measure(float64(i)*0.02, 5, 23, 2, 2) // rxGain == rxAvg: omni
-		sum += s.SINRdB
+		sum += s.SINRdB()
 	}
 	mean := sum / n
 	if mean > p.ReflLossDB+3 {
@@ -278,8 +278,8 @@ func TestDirectionalBeatsOmniSINR(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tm := float64(i) * 0.02
 		// Directional: 20 dBi toward LOS, 5 dBi average (15 dB selectivity).
-		sumDir += dir.Measure(tm, 10, 23, 20, 5).SINRdB
-		sumOmni += omni.Measure(tm, 10, 23, 2, 2).SINRdB
+		sumDir += dir.Measure(tm, 10, 23, 20, 5).SINRdB()
+		sumOmni += omni.Measure(tm, 10, 23, 2, 2).SINRdB()
 	}
 	if (sumDir-sumOmni)/n < 10 {
 		t.Errorf("directional SINR advantage = %v dB, want >10", (sumDir-sumOmni)/n)
@@ -313,7 +313,7 @@ func TestMisalignedBeamLowSINR(t *testing.T) {
 	const n = 3000
 	for i := 0; i < n; i++ {
 		// rxGain -5 (sidelobe), rxAvg 5: pointing 10 dB below average.
-		sum += l.Measure(float64(i)*0.02, 10, 23, -5, 5).SINRdB
+		sum += l.Measure(float64(i)*0.02, 10, 23, -5, 5).SINRdB()
 	}
 	if mean := sum / n; mean > 6 {
 		t.Errorf("misaligned mean SINR = %v dB, should be poor", mean)

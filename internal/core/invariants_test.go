@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"silenttracker/internal/antenna"
@@ -101,7 +102,8 @@ func randomRow(src *rng.Source, cellID int) []phy.Measurement {
 			TxBeam:   antenna.BeamID(src.Intn(16)),
 			RxBeam:   antenna.BeamID(src.Intn(18)),
 			RSSdBm:   src.Uniform(-90, -20),
-			SINRdB:   sinr,
+			SNRdB:    sinr,
+			SIRdB:    math.Inf(1),
 			Detected: sinr >= 6,
 		})
 	}

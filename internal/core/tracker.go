@@ -405,8 +405,8 @@ func (t *Tracker) onSearchBurst(now sim.Time, cellID int, row []phy.Measurement)
 			if m.RSSdBm > bestRSS {
 				bestRSS, bestTx = m.RSSdBm, m.TxBeam
 			}
-			if m.SINRdB > bestSINR {
-				bestSINR = m.SINRdB
+			if sinr := m.SINRdB(); sinr > bestSINR {
+				bestSINR = sinr
 			}
 		}
 	}

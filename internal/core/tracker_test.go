@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func row(cell int, rss map[antenna.BeamID]float64) []phy.Measurement {
 	var out []phy.Measurement
 	for tx, v := range rss {
 		out = append(out, phy.Measurement{
-			Cell: cell, TxBeam: tx, RSSdBm: v, SINRdB: 20, Detected: true,
+			Cell: cell, TxBeam: tx, RSSdBm: v, SNRdB: 20, SIRdB: math.Inf(1), Detected: true,
 		})
 	}
 	return out

@@ -61,9 +61,12 @@ func (s sway) at(t float64) float64 {
 // facing sway and slight lateral weave — the paper's "human walk at
 // cell edge" scenario.
 type Walk struct {
-	Start   geom.Vec
-	Heading float64 // direction of travel, radians
-	Speed   float64 // m/s
+	Start geom.Vec
+	Speed float64 // m/s
+
+	heading float64  // direction of travel, radians
+	dir     geom.Vec // unit vector along heading
+	side    geom.Vec // unit vector along heading+π/2 (the weave axis)
 
 	faceSway sway // radians of facing oscillation
 	latSway  sway // meters of lateral weave
@@ -75,20 +78,24 @@ func NewWalk(start geom.Vec, heading float64, seed int64) *Walk {
 	src := rng.Stream(seed, "mobility/walk")
 	return &Walk{
 		Start:    start,
-		Heading:  heading,
 		Speed:    WalkSpeed,
+		heading:  heading,
+		dir:      geom.FromPolar(1, heading),
+		side:     geom.FromPolar(1, heading+math.Pi/2),
 		faceSway: newSway(src, geom.Deg(8), 0.9),
 		latSway:  newSway(src, 0.08, 1.8),
 	}
 }
 
-// PoseAt implements Model.
+// PoseAt implements Model. The fixed directions are cached unit
+// vectors: r·cosθ is exactly geom.FromPolar(r, θ).X, so the pose is
+// bit-identical to evaluating the trig per call.
 func (w *Walk) PoseAt(t float64) geom.Pose {
-	along := geom.FromPolar(w.Speed*t, w.Heading)
-	lateral := geom.FromPolar(w.latSway.at(t), w.Heading+math.Pi/2)
+	along := w.dir.Scale(w.Speed * t)
+	lateral := w.side.Scale(w.latSway.at(t))
 	return geom.Pose{
 		Pos:    w.Start.Add(along).Add(lateral),
-		Facing: geom.WrapAngle(w.Heading + w.faceSway.at(t)),
+		Facing: geom.WrapAngle(w.heading + w.faceSway.at(t)),
 	}
 }
 
@@ -124,8 +131,9 @@ func (r *Rotation) PoseAt(t float64) geom.Pose {
 // suspension-induced heading jitter.
 type Vehicle struct {
 	Start   geom.Vec
-	Heading float64
 	Speed   float64
+	heading float64
+	dir     geom.Vec // unit vector along heading
 	jitter  sway
 }
 
@@ -142,17 +150,18 @@ func NewVehicleSpeed(start geom.Vec, heading, speed float64, seed int64) *Vehicl
 	src := rng.Stream(seed, "mobility/vehicle")
 	return &Vehicle{
 		Start:   start,
-		Heading: heading,
 		Speed:   speed,
+		heading: heading,
+		dir:     geom.FromPolar(1, heading),
 		jitter:  newSway(src, geom.Deg(1.5), 1.1),
 	}
 }
 
-// PoseAt implements Model.
+// PoseAt implements Model, with the heading's trig cached as in Walk.
 func (v *Vehicle) PoseAt(t float64) geom.Pose {
 	return geom.Pose{
-		Pos:    v.Start.Add(geom.FromPolar(v.Speed*t, v.Heading)),
-		Facing: geom.WrapAngle(v.Heading + v.jitter.at(t)),
+		Pos:    v.Start.Add(v.dir.Scale(v.Speed * t)),
+		Facing: geom.WrapAngle(v.heading + v.jitter.at(t)),
 	}
 }
 

@@ -172,3 +172,50 @@ func TestPureFunctionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// exactPoseTimes spans 10⁵ sample times: negative, around zero, and
+// large, at an irregular step so the products hit many roundings.
+func exactPoseTimes(yield func(float64)) {
+	for i := 0; i < 100000; i++ {
+		switch i % 3 {
+		case 0:
+			yield((float64(i) - 50000) * 0.0137)
+		case 1:
+			yield(float64(i) * 2.5e-4)
+		default:
+			yield(1e6 + float64(i)*123.456)
+		}
+	}
+}
+
+func samePose(a, b geom.Pose) bool {
+	bits := math.Float64bits
+	return bits(a.Pos.X) == bits(b.Pos.X) && bits(a.Pos.Y) == bits(b.Pos.Y) &&
+		bits(a.Facing) == bits(b.Facing)
+}
+
+// TestCachedTrigPosesExact: the cached heading vectors reproduce the
+// per-call geom.FromPolar poses bit for bit.
+func TestCachedTrigPosesExact(t *testing.T) {
+	for _, heading := range []float64{0, math.Pi / 2, -2.5, 3.1, 0.7853981633974483, -math.Pi} {
+		w := NewWalk(geom.V(3, -7), heading, 11)
+		v := NewVehicleSpeed(geom.V(-1, 2), heading, 25, 11)
+		exactPoseTimes(func(tm float64) {
+			wantW := geom.Pose{
+				Pos: w.Start.Add(geom.FromPolar(w.Speed*tm, heading)).
+					Add(geom.FromPolar(w.latSway.at(tm), heading+math.Pi/2)),
+				Facing: geom.WrapAngle(heading + w.faceSway.at(tm)),
+			}
+			if got := w.PoseAt(tm); !samePose(got, wantW) {
+				t.Fatalf("walk heading %v t=%v: %+v, reference %+v", heading, tm, got, wantW)
+			}
+			wantV := geom.Pose{
+				Pos:    v.Start.Add(geom.FromPolar(v.Speed*tm, heading)),
+				Facing: geom.WrapAngle(heading + v.jitter.at(tm)),
+			}
+			if got := v.PoseAt(tm); !samePose(got, wantV) {
+				t.Fatalf("vehicle heading %v t=%v: %+v, reference %+v", heading, tm, got, wantV)
+			}
+		})
+	}
+}

@@ -126,7 +126,9 @@ func intervalOverlap(a0, a1, b0, b1 sim.Time) bool {
 }
 
 // Measurement is one beacon reception attempt: the observable the
-// protocol runs on.
+// protocol runs on. Detection is decided on the SINR, but almost every
+// decision follows from the SNR and SIR bounds alone (channel.Decodes),
+// so the SINR itself is computed only when a consumer asks for it.
 type Measurement struct {
 	Cell     int            // transmitting cell ID
 	TxBeam   antenna.BeamID // cell's beam
@@ -134,10 +136,14 @@ type Measurement struct {
 	At       sim.Time
 	RSSdBm   float64
 	SNRdB    float64 // thermal SNR
-	SINRdB   float64 // SNR combined with multipath self-interference
+	SIRdB    float64 // signal to multipath self-interference ratio
 	Detected bool    // beacon decoded (SINR above detection threshold)
 	Blocked  bool    // LOS was blocked at sample time
 }
+
+// SINRdB returns the SNR combined with the multipath
+// self-interference.
+func (m Measurement) SINRdB() float64 { return channel.SINRdB(m.SNRdB, m.SIRdB) }
 
 // String implements fmt.Stringer.
 func (m Measurement) String() string {
@@ -193,9 +199,9 @@ func (a *AirLink) Measure(t sim.Time, bsPose, uePose geom.Pose, tx, rx antenna.B
 		RxBeam:   rx,
 		At:       t,
 		RSSdBm:   s.RSSdBm,
-		SNRdB:    a.Ch.SNRdB(s.RSSdBm),
-		SINRdB:   s.SINRdB,
-		Detected: s.SINRdB >= a.Cfg.DetectSNRdB,
+		SNRdB:    s.SNRdB,
+		SIRdB:    s.SIRdB,
+		Detected: channel.Decodes(s.SNRdB, s.SIRdB, a.Cfg.DetectSNRdB),
 		Blocked:  s.Blocked,
 	}
 }
@@ -218,9 +224,9 @@ func (a *AirLink) MeasureUplink(t sim.Time, bsPose, uePose geom.Pose, tx, rx ant
 		RxBeam:   rx,
 		At:       t,
 		RSSdBm:   s.RSSdBm,
-		SNRdB:    a.Ch.SNRdB(s.RSSdBm),
-		SINRdB:   s.SINRdB,
-		Detected: s.SINRdB >= a.Cfg.CtrlSNRdB,
+		SNRdB:    s.SNRdB,
+		SIRdB:    s.SIRdB,
+		Detected: channel.Decodes(s.SNRdB, s.SIRdB, a.Cfg.CtrlSNRdB),
 		Blocked:  s.Blocked,
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"silenttracker/internal/antenna"
+	"silenttracker/internal/channel"
 	"silenttracker/internal/geom"
 	"silenttracker/internal/mobility"
 	"silenttracker/internal/phy"
@@ -184,7 +185,7 @@ func (d *Device) DownlinkMeasure(t sim.Time, cellID int, cellBeam, ueBeam antenn
 		return phy.Measurement{}, false
 	}
 	m := ci.Link.Measure(t, ci.Pose, d.Pose(t), cellBeam, ueBeam)
-	m.Detected = m.SINRdB >= ci.Link.Cfg.CtrlSNRdB
+	m.Detected = channel.Decodes(m.SNRdB, m.SIRdB, ci.Link.Cfg.CtrlSNRdB)
 	return m, true
 }
 

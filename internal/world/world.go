@@ -204,17 +204,32 @@ func (b *Builder) Build() *World {
 	return w
 }
 
+// cellEvents is one cell's periodic event handlers, bound once in
+// schedule so the per-burst and per-occasion scheduling allocates
+// nothing. It also holds the burst measurement pending at the end of
+// the current burst: a cell has at most one, because its next burst
+// starts a full period after this one, when this one has ended.
+type cellEvents struct {
+	w  *World
+	id int
+	c  *cell.Cell
+
+	burst, rach, measured sim.Handler
+
+	listenAt sim.Time       // start of the burst being listened to
+	listenRx antenna.BeamID // receive beam it is listened with
+}
+
 // schedule arms the periodic machinery: per-cell bursts, RACH
 // occasions, and housekeeping.
 func (w *World) schedule() {
-	for id := range w.Cells {
-		id := id
-		c := w.Cells[id]
+	for id, c := range w.Cells {
+		ev := &cellEvents{w: w, id: id, c: c}
+		ev.burst, ev.rach, ev.measured = ev.onBurstStart, ev.onRachOccasion, ev.onBurstEnd
 		// First burst of each cell.
-		first := c.Sched.NextBurst(0)
-		w.Engine.At(first, func() { w.onBurstStart(id) })
+		w.Engine.At(c.Sched.NextBurst(0), ev.burst)
 		// RACH occasions.
-		w.Engine.At(w.rachOffsets[id], func() { w.onRachOccasion(id) })
+		w.Engine.At(w.rachOffsets[id], ev.rach)
 	}
 	w.Engine.Every(w.P.TickPeriod, func() {
 		for _, c := range w.Cells {
@@ -224,13 +239,13 @@ func (w *World) schedule() {
 }
 
 // onBurstStart handles the start of one cell's sync burst: plan,
-// arbitrate the radio, measure, and feed the protocol.
-func (w *World) onBurstStart(id int) {
-	c := w.Cells[id]
+// arbitrate the radio, and arm the measurement at the burst's end.
+func (ev *cellEvents) onBurstStart() {
+	w, id := ev.w, ev.id
 	now := w.Engine.Now()
-	end := c.Sched.BurstEnd(now)
+	end := ev.c.Sched.BurstEnd(now)
 	// Schedule the next burst first so errors below cannot silence us.
-	w.Engine.At(now+c.Sched.Period, func() { w.onBurstStart(id) })
+	w.Engine.At(now+ev.c.Sched.Period, ev.burst)
 
 	rx, listen := w.Tracker.PlanBurst(now, id)
 	if !listen || !w.Device.Book.Valid(rx) {
@@ -256,18 +271,25 @@ func (w *World) onBurstStart(id int) {
 	} else {
 		w.NeighborListens++
 	}
-	w.Engine.At(end, func() {
-		ms := w.Device.MeasureBurst(id, now, rx)
-		w.Tracker.OnBurst(w.Engine.Now(), id, ms)
-		w.drainTracker()
-	})
+	ev.listenAt, ev.listenRx = now, rx
+	w.Engine.At(end, ev.measured)
+}
+
+// onBurstEnd measures the burst just listened to and feeds the
+// protocol.
+func (ev *cellEvents) onBurstEnd() {
+	w := ev.w
+	ms := w.Device.MeasureBurst(ev.id, ev.listenAt, ev.listenRx)
+	w.Tracker.OnBurst(w.Engine.Now(), ev.id, ms)
+	w.drainTracker()
 }
 
 // onRachOccasion polls the tracker's random access machine when the
 // occasion belongs to its handover target and timing is known.
-func (w *World) onRachOccasion(id int) {
+func (ev *cellEvents) onRachOccasion() {
+	w, id := ev.w, ev.id
 	now := w.Engine.Now()
-	w.Engine.At(now+w.Tracker.Cfg.Rach.OccasionPeriod, func() { w.onRachOccasion(id) })
+	w.Engine.At(now+w.Tracker.Cfg.Rach.OccasionPeriod, ev.rach)
 	if w.Tracker.HandoverTarget() != id {
 		return
 	}
