@@ -390,18 +390,6 @@ func (l *Link) fspl(d float64) float64 {
 	return pl
 }
 
-// SNRdB converts an RSS to an SNR against the configured noise floor.
-func (l *Link) SNRdB(rssDBm float64) float64 {
-	return rssDBm - l.noiseFloor
-}
-
-// Detectable reports whether a beacon at the given RSS can be decoded.
-// Synchronization-signal detection needs a modest SNR; 0 dB over a
-// 2 GHz noise floor is the calibrated threshold.
-func (l *Link) Detectable(rssDBm float64) bool {
-	return l.SNRdB(rssDBm) >= 0
-}
-
 // MeanRSSdBm returns the deterministic link budget (no shadowing,
 // fading, or blockage) — the quantity link-planning predicts.
 func (p Params) MeanRSSdBm(d, txGainDBi, rxGainDBi float64) float64 {

@@ -196,21 +196,6 @@ func TestBlockedSampleAnnotated(t *testing.T) {
 	}
 }
 
-func TestSNRAndDetectable(t *testing.T) {
-	p := DefaultParams()
-	l := NewLinkNoBlockage(p, 9, "x")
-	nf := p.NoiseFloorDBm()
-	if got := l.SNRdB(nf + 10); math.Abs(got-10) > 1e-9 {
-		t.Errorf("SNR = %v", got)
-	}
-	if !l.Detectable(nf + 1) {
-		t.Error("1 dB SNR should be detectable")
-	}
-	if l.Detectable(nf - 1) {
-		t.Error("-1 dB SNR should not be detectable")
-	}
-}
-
 func TestDeterministicLinks(t *testing.T) {
 	p := DefaultParams()
 	a := NewLink(p, 42, "link")

@@ -66,6 +66,17 @@ func counterValue(reg *obs.Registry, name string) float64 {
 	return 0
 }
 
+// waitFor spins until cond, which reads coordinator state under its
+// lock, holds; it fails the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // startDistribute runs Distribute in the background and returns a
 // channel carrying its error once the coordinator lists the run, so a
 // lease the test posts next cannot beat the registration and come
@@ -79,24 +90,13 @@ func startDistribute(t *testing.T, ctx context.Context, c *Coordinator, n int) <
 	go func() {
 		done <- c.Distribute(ctx, st.JobRequest{Experiment: "fake"}, fakeUnits(n))
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitFor(t, "the coordinator to list "+id, func() bool {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		_, listed := c.runs[id]
-		c.mu.Unlock()
-		if listed {
-			return done
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("Distribute returned %v before registering %s", err, id)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator did not list %s within 10s", id)
-		}
-		runtime.Gosched()
-	}
+		return listed
+	})
+	return done
 }
 
 // TestLeaseProtocol drives the happy path over real HTTP: a run's
@@ -228,22 +228,18 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	// The doomed worker never completes nor heartbeats; once the TTL
 	// passes, the expiry scan re-queues all 8 units and a live worker
 	// gets them whole (from the pending queue — not a steal, which
-	// would split them). Waiting past the TTL before the live worker's
-	// first request keeps the mechanisms apart.
+	// would split them). The live worker asks only once the scan has
+	// revoked the lease; asking between the TTL and the next scan
+	// would steal half of it instead.
+	waitFor(t, "the expiry scan to revoke the doomed lease", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.runs[dead.Run].leases) == 0
+	})
 	var release st.LeaseGrant
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		time.Sleep(150 * time.Millisecond)
-		postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "live"}, &release)
-		if release.Run != "" && unitCount(release.Units) == 8 {
-			break
-		}
-		if release.Run != "" {
-			t.Fatalf("live worker got a partial grant %v, want the full expired lease", release.Units)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("expired units never re-leased (last grant %+v)", release)
-		}
+	postJSON(t, srv.URL+"/dist/lease", st.LeaseRequest{Worker: "live"}, &release)
+	if release.Run == "" || unitCount(release.Units) != 8 {
+		t.Fatalf("live worker got grant %v, want the full expired lease", release.Units)
 	}
 	postJSON(t, srv.URL+"/dist/complete",
 		st.UnitReport{Worker: "live", Run: release.Run, Lease: release.Lease, Units: release.Units}, nil)
