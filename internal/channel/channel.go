@@ -275,14 +275,17 @@ func SINRdB(snrDB, sirDB float64) float64 {
 // min(SNR, SIR): outside a band of that width above the threshold the
 // decision needs no transcendental at all.
 const (
-	log2dB = 10 * math.Ln2 / math.Ln10 // 10·log10 2: the most two equal powers add
+	log2dB = 10 * math.Ln2 / math.Ln10 // 10·log10 2: the most two powers add
 	// decodeSlack widens the band by far more than SINRdB's rounding
-	// error (~1e-13 dB within decodeRange), so a bound decision always
-	// agrees with the computed SINR.
+	// error (under 1e-12 dB wherever a bound decides), so a bound
+	// decision always agrees with the computed SINR.
 	decodeSlack = 1e-6
 	// decodeRange bounds where the rounding argument holds: with
 	// |min(SNR, SIR)| ≤ 300 dB the dominant power, 10^(-min/10), is a
-	// normal float far from overflow and underflow.
+	// normal float far from overflow and underflow. Below -300 dB (a
+	// mobile far past a cell's coverage edge) the power can only grow
+	// until it overflows, which drives the SINR to -Inf: the reject
+	// bound still holds there, the accept bound does not.
 	decodeRange = 300
 )
 
@@ -291,14 +294,14 @@ const (
 // bit for bit, but evaluating the SINR only when min(SNR, SIR) lies
 // within the band [thr, thr + 10·log10 2] (widened by decodeSlack)
 // where the bounds cannot decide. NaN inputs (min propagates them)
-// and out-of-range values fail both bound tests and take the exact
-// path too.
+// and values outside decodeRange that a bound cannot cover take the
+// exact path too.
 func Decodes(snrDB, sirDB, thr float64) bool {
-	if m := min(snrDB, sirDB); m >= -decodeRange && m <= decodeRange {
+	if m := min(snrDB, sirDB); m <= decodeRange {
 		if m < thr-decodeSlack {
 			return false
 		}
-		if m >= thr+(log2dB+decodeSlack) {
+		if m >= -decodeRange && m >= thr+(log2dB+decodeSlack) {
 			return true
 		}
 	}

@@ -27,15 +27,17 @@ func ulps(x float64, k int) float64 {
 }
 
 // decodeCases returns SNR/SIR values around thr's decision edges —
-// thr and thr + 10·log10 2, each ± a few ulps and ± the slack — plus
+// thr and thr + 10·log10 2, each ± the slack, all ± a few ulps — plus
 // the special values and magnitudes at and beyond the bound argument's
 // range.
 func decodeCases(thr float64) []float64 {
 	vs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		1e4, -1e4, 299, 301, -299, -301, 3100, -3100, 3250, -3250, thr + 1, thr - 1, thr + 2}
-	for _, edge := range []float64{thr, thr + log2dB, thr - decodeSlack, thr + log2dB + decodeSlack} {
-		for k := -3; k <= 3; k++ {
-			vs = append(vs, ulps(edge, k))
+	for _, edge := range []float64{thr, thr + log2dB} {
+		for _, e := range []float64{edge, edge - decodeSlack, edge + decodeSlack} {
+			for k := -3; k <= 3; k++ {
+				vs = append(vs, ulps(e, k))
+			}
 		}
 	}
 	return vs
